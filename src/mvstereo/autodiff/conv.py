@@ -1,10 +1,16 @@
 """2D and 3D convolution (cross-correlation convention, no kernel flip).
 
-Forward lowers the input to a patch matrix (im2col via stride tricks) and
-runs one matrix product; backward reuses the patch matrix for the kernel
-gradient and scatters columns back (col2im) for the input gradient. Output
-extents must divide exactly: (H + 2*pad - k) must be a multiple of the
-stride, otherwise a DimensionError is raised rather than silently flooring.
+Both are one N-d routine. Forward lowers the input to a channel-major
+patch matrix [C_in * k^d, N] (im2col via stride tricks) and runs one
+matrix product with the kernel matrix. The patch matrix is not kept for
+backward: the kernel gradient rebuilds it from the input buffer, and only
+when the kernel requires a gradient, because the channel-major copy costs
+far less than holding k^d copies of the input until backward runs. The
+input gradient scatters columns back (col2im) with one strided add per
+kernel tap, forming each tap's columns just before it is added. Output
+extents must divide exactly: (n + 2*pad - k) must be a multiple of the
+stride, otherwise a DimensionError is raised rather than silently
+flooring.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from .tensor import DimensionError, as_tensor, make_op
 
 __all__ = ["conv2d", "conv3d"]
 
+_AXES = ("depth", "height", "width")
+_KERNEL_SHAPE = {2: "square", 3: "cubic"}
+
 
 def _out_extent(n: int, k: int, stride: int, pad: int, what: str) -> int:
     span = n + 2 * pad - k
@@ -26,90 +35,66 @@ def _out_extent(n: int, k: int, stride: int, pad: int, what: str) -> int:
     return span // stride + 1
 
 
-def conv2d(input, kernel, stride: int = 1, padding: int = 0):
-    """Convolve input [C_in, H, W] with kernel [C_out, C_in, k, k]."""
+def _conv(name: str, nd: int, input, kernel, stride: int, padding: int):
+    """Convolve input [C_in, *spatial] with kernel [C_out, C_in, k, ...] over ``nd`` axes."""
     x = as_tensor(input)
     w = as_tensor(kernel)
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects [C,H,W] and [O,C,k,k], got {x.shape}, {w.shape}")
-    c_out, c_in, kh, kw = w.shape
-    if kh != kw or kh % 2 == 0:
-        raise DimensionError(f"conv2d kernel must be square with odd size, got {kh}x{kw}")
+    if x.ndim != nd + 1 or w.ndim != nd + 2:
+        dims = ",".join("DHW"[3 - nd:])
+        taps = ",".join("k" * nd)
+        raise DimensionError(
+            f"{name} expects [C,{dims}] and [O,C,{taps}], got {x.shape}, {w.shape}")
+    c_out, c_in, *ks = w.shape
+    k = ks[0]
+    if any(kk != k for kk in ks) or k % 2 == 0:
+        raise DimensionError(f"{name} kernel must be {_KERNEL_SHAPE[nd]} with odd size, "
+                             f"got {'x'.join(map(str, ks))}")
     if padding < 0:
-        raise DimensionError("conv2d padding must be >= 0")
+        raise DimensionError(f"{name} padding must be >= 0")
     if x.shape[0] != c_in:
-        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    k, s, p = kh, stride, padding
-    _, h, wid = x.shape
-    h_out = _out_extent(h, k, s, p, "conv2d height")
-    w_out = _out_extent(wid, k, s, p, "conv2d width")
+        raise DimensionError(f"{name} channel mismatch: input {x.shape} vs kernel {w.shape}")
+    s, p = stride, padding
+    spatial = x.shape[1:]
+    out_dims = tuple(_out_extent(n, k, s, p, f"{name} {axis}")
+                     for n, axis in zip(spatial, _AXES[3 - nd:]))
+    n_out = int(np.prod(out_dims))
+    every = (slice(None),)
 
-    padded = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    # (C_in, H', W', k, k) view, then flattened to the patch matrix.
-    windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::s, ::s]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_in * k * k)
-    w_mat = w.data.reshape(c_out, c_in * k * k)
-    out = (w_mat @ cols.T).reshape(c_out, h_out, w_out)
+    def patches():
+        """Channel-major patch matrix [C_in * k^nd, N] of the current input buffer."""
+        padded = np.pad(x.data, ((0, 0),) + ((p, p),) * nd) if p else x.data
+        windows = sliding_window_view(padded, (k,) * nd, axis=tuple(range(1, nd + 1)))
+        windows = windows[every + (slice(None, None, s),) * nd]  # (C, *out, *taps)
+        taps_first = (0,) + tuple(range(nd + 1, 2 * nd + 1)) + tuple(range(1, nd + 1))
+        return windows.transpose(taps_first).reshape(c_in * k ** nd, n_out)
 
-    def backward(g):
-        g_mat = g.reshape(c_out, h_out * w_out)
-        gx = gw = None
-        if w.requires_grad:
-            gw = (g_mat @ cols).reshape(w.shape)
-        if x.requires_grad:
-            col_grad = (w_mat.T @ g_mat).reshape(c_in, k, k, h_out, w_out)
-            gpad = np.zeros_like(padded)
-            for ki in range(k):
-                for kj in range(k):
-                    gpad[:, ki:ki + s * h_out:s, kj:kj + s * w_out:s] += col_grad[:, ki, kj]
-            gx = gpad[:, p:p + h, p:p + wid] if p else gpad
-        return gx, gw
-
-    return make_op("conv2d", out, (x, w), backward)
-
-
-def conv3d(input, kernel, stride: int = 1, padding: int = 0):
-    """Convolve input [C_in, D, H, W] with kernel [C_out, C_in, k, k, k]."""
-    x = as_tensor(input)
-    w = as_tensor(kernel)
-    if x.ndim != 4 or w.ndim != 5:
-        raise DimensionError(f"conv3d expects [C,D,H,W] and [O,C,k,k,k], got {x.shape}, {w.shape}")
-    c_out, c_in, kd, kh, kw = w.shape
-    if not (kd == kh == kw) or kd % 2 == 0:
-        raise DimensionError(f"conv3d kernel must be cubic with odd size, got {kd}x{kh}x{kw}")
-    if padding < 0:
-        raise DimensionError("conv3d padding must be >= 0")
-    if x.shape[0] != c_in:
-        raise DimensionError(f"conv3d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    k, s, p = kd, stride, padding
-    _, d, h, wid = x.shape
-    d_out = _out_extent(d, k, s, p, "conv3d depth")
-    h_out = _out_extent(h, k, s, p, "conv3d height")
-    w_out = _out_extent(wid, k, s, p, "conv3d width")
-
-    padded = np.pad(x.data, ((0, 0), (p, p), (p, p), (p, p))) if p else x.data
-    windows = sliding_window_view(padded, (k, k, k), axis=(1, 2, 3))[:, ::s, ::s, ::s]
-    n_out = d_out * h_out * w_out
-    cols = windows.transpose(1, 2, 3, 0, 4, 5, 6).reshape(n_out, c_in * k ** 3)
-    w_mat = w.data.reshape(c_out, c_in * k ** 3)
-    out = (w_mat @ cols.T).reshape(c_out, d_out, h_out, w_out)
+    w_mat = w.data.reshape(c_out, c_in * k ** nd)
+    out = (w_mat @ patches()).reshape((c_out,) + out_dims)
 
     def backward(g):
         g_mat = g.reshape(c_out, n_out)
         gx = gw = None
         if w.requires_grad:
-            gw = (g_mat @ cols).reshape(w.shape)
+            gw = (g_mat @ patches().T).reshape(w.shape)
         if x.requires_grad:
-            col_grad = (w_mat.T @ g_mat).reshape(c_in, k, k, k, d_out, h_out, w_out)
-            gpad = np.zeros_like(padded)
-            for kd_ in range(k):
-                for ki in range(k):
-                    for kj in range(k):
-                        gpad[:,
-                             kd_:kd_ + s * d_out:s,
-                             ki:ki + s * h_out:s,
-                             kj:kj + s * w_out:s] += col_grad[:, kd_, ki, kj]
-            gx = gpad[:, p:p + d, p:p + h, p:p + wid] if p else gpad
+            # Each tap's slice of the column gradient is formed just before
+            # it is added, so the full [C_in * k^nd, N] matrix never exists.
+            gpad = np.zeros((c_in,) + tuple(n + 2 * p for n in spatial), dtype=x.dtype)
+            for tap in np.ndindex(*(k,) * nd):
+                dst = tuple(slice(t, t + s * o, s) for t, o in zip(tap, out_dims))
+                w_tap = w.data[(slice(None), slice(None)) + tap]  # (C_out, C_in)
+                gpad[every + dst] += (w_tap.T @ g_mat).reshape((c_in,) + out_dims)
+            gx = gpad[every + tuple(slice(p, p + n) for n in spatial)] if p else gpad
         return gx, gw
 
-    return make_op("conv3d", out, (x, w), backward)
+    return make_op(name, out, (x, w), backward)
+
+
+def conv2d(input, kernel, stride: int = 1, padding: int = 0):
+    """Convolve input [C_in, H, W] with kernel [C_out, C_in, k, k]."""
+    return _conv("conv2d", 2, input, kernel, stride, padding)
+
+
+def conv3d(input, kernel, stride: int = 1, padding: int = 0):
+    """Convolve input [C_in, D, H, W] with kernel [C_out, C_in, k, k, k]."""
+    return _conv("conv3d", 3, input, kernel, stride, padding)

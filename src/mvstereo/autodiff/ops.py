@@ -162,14 +162,26 @@ def transpose(a, axes=None):
                    lambda g: (np.transpose(g, inverse),))
 
 
+def _is_basic_index(key) -> bool:
+    """True when ``key`` selects every source element at most once (no index arrays)."""
+    items = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in items)
+
+
 def getitem(a, key):
     """Basic slicing/indexing; gradient scatters back into the source."""
     a = as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_index(key)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g  # basic keys never repeat an element
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return make_op("getitem", np.ascontiguousarray(out), (a,), backward)

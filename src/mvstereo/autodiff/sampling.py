@@ -38,7 +38,6 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     gx = g_t.data[..., 0]
     gy = g_t.data[..., 1]
     valid = (gx >= 0) & (gx <= w - 1) & (gy >= 0) & (gy <= h - 1)
-    vf = valid.astype(x_t.dtype)
 
     # Keep arithmetic finite for wild coordinates; invalid lanes are zeroed.
     # Non-finite coordinates (e.g. from diverged upstream values) index as
@@ -49,18 +48,22 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     y0 = np.clip(np.floor(cy), 0, h - 2).astype(np.int64)
     wx = (cx - x0).astype(x_t.dtype)
     wy = (cy - y0).astype(x_t.dtype)
-
-    flat = x_t.data.reshape(c, h * w)
     i00 = y0 * w + x0
-    v00 = flat[:, i00]
-    v01 = flat[:, i00 + 1]
-    v10 = flat[:, i00 + w]
-    v11 = flat[:, i00 + w + 1]
+    offsets = (0, 1, w, w + 1)  # flat offsets of corners 00, 01, 10, 11
 
-    w00 = (1 - wx) * (1 - wy) * vf
-    w01 = wx * (1 - wy) * vf
-    w10 = (1 - wx) * wy * vf
-    w11 = wx * wy * vf
+    # Only i00, wx, wy and the mask are saved for backward; the corner
+    # values and blend weights are gathered or recomputed there.
+    def corners():
+        flat = x_t.data.reshape(c, h * w)
+        return [flat[:, i00 + off] for off in offsets]
+
+    def blend_weights():
+        vf = valid.astype(x_t.dtype)
+        return ((1 - wx) * (1 - wy) * vf, wx * (1 - wy) * vf,
+                (1 - wx) * wy * vf, wx * wy * vf)
+
+    v00, v01, v10, v11 = corners()
+    w00, w01, w10, w11 = blend_weights()
     raw = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11  # (C, ...batch..., H', W')
     out = np.ascontiguousarray(np.moveaxis(raw, 0, g_t.ndim - 3))
 
@@ -71,18 +74,22 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
             acc = np.zeros(c * h * w, dtype=x_t.dtype)
             base = (np.arange(c, dtype=np.int64) * (h * w)).reshape(
                 (c,) + (1,) * i00.ndim)
-            for offset, wgt in ((0, w00), (1, w01), (w, w10), (w + 1, w11)):
+            for offset, wgt in zip(offsets, blend_weights()):
                 idx = (base + (i00 + offset)).ravel()
                 acc += np.bincount(idx, weights=(gc * wgt).ravel(),
                                    minlength=c * h * w).astype(x_t.dtype)
             gx_in = acc.reshape(c, h, w)
         if g_t.requires_grad:
+            v00, v01, v10, v11 = corners()
+            vf = valid.astype(x_t.dtype)
             dx = ((1 - wy) * (v01 - v00) + wy * (v11 - v10)) * vf
             dy = ((1 - wx) * (v10 - v00) + wx * (v11 - v01)) * vf
             gg = np.stack([(gc * dx).sum(axis=0), (gc * dy).sum(axis=0)], axis=-1)
         return gx_in, gg
 
-    return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid
+    # The caller gets its own mask: backward reads ``valid``, so a caller
+    # editing the returned mask in place must not change the gradients.
+    return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
 
 
 def _axis_weights(n: int, dtype):

@@ -4,6 +4,14 @@ The engine is deliberately small: a ``Tensor`` wraps a row-major numpy
 buffer, every differentiable operation attaches a ``Node`` describing how
 to push gradients to its inputs, and ``Tape.trace`` linearizes the graph
 reachable from a scalar loss into topological order for the backward walk.
+
+References point one way only, from an op's output to its inputs
+(``Tensor.node`` -> ``Node.inputs``); a node knows its output by identity
+and shape, not by reference. The graph of a step is therefore acyclic and
+owned by its root: dropping the loss frees every node, saved activation
+and closure by reference counting, without waiting for the cyclic garbage
+collector.
+
 Element precision (float32 or float64) is a process-global switch so the
 same code can run finite-difference checks in 64-bit and training in
 32-bit.
@@ -104,24 +112,34 @@ def nan_checks_enabled() -> bool:
 
 
 class Node:
-    """One recorded operation: inputs, output, and its gradient rule.
+    """One recorded operation: its inputs, its output's identity, and its gradient rule.
 
     ``backward_fn`` receives the gradient w.r.t. the node's output and
     returns one gradient array (or None) per input, already shaped like
     that input's buffer.
+
+    Ownership: the output tensor owns its node and the node owns its
+    inputs, never the reverse, so the root loss owns the whole graph and
+    dropping the loss frees it by reference count. The node keeps only the
+    output's ``id`` (the key ``Tape.backward`` routes gradients by) and
+    shape; every output in a traced tape stays alive through its
+    consumers' ``inputs`` as long as the root does. ``backward_fn`` may
+    read its inputs' buffers instead of saving copies, so those buffers
+    must not be mutated in place between forward and backward.
     """
 
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "out_id", "out_shape", "backward_fn")
 
     def __init__(self, op: str, inputs: Sequence["Tensor"], output: "Tensor",
                  backward_fn: Callable[[np.ndarray], Iterable[np.ndarray | None]]):
         self.op = op
         self.inputs = tuple(inputs)
-        self.output = output
+        self.out_id = id(output)
+        self.out_shape = output.shape
         self.backward_fn = backward_fn
 
     def __repr__(self):
-        return f"Node({self.op}, out={self.output.shape})"
+        return f"Node({self.op}, out={self.out_shape})"
 
 
 class Tensor:
@@ -311,7 +329,7 @@ class Tape:
         if root.requires_grad and root.node is None:
             root.accumulate_grad(pending[id(root)])
         for node in reversed(self.nodes):
-            g_out = pending.pop(id(node.output), None)
+            g_out = pending.pop(node.out_id, None)
             if g_out is None:
                 continue
             grads = node.backward_fn(g_out)

@@ -37,6 +37,14 @@ def conv3d_loop(x, k, stride, pad):
     return out
 
 
+def conv_gradcheck(conv, x, k, stride, pad):
+    """Finite-difference check of ``sum(conv(x, k) * c)`` for a fixed random c."""
+    c = ad.tensor(np.random.default_rng(7).standard_normal(
+        conv(x, k, stride=stride, padding=pad).shape))
+    return ad.gradcheck(lambda x, k: ad.sum_(conv(x, k, stride=stride, padding=pad) * c),
+                        [x, k], max_entries=24)
+
+
 class TestConv2d:
     def test_1x1_unit_kernel_is_identity(self, f64, rng):
         x = rng.standard_normal((1, 5, 6))
@@ -75,6 +83,20 @@ class TestConv2d:
             [x, k], max_entries=20)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+    def test_gradients_strided_and_padded(self, f64, rng, stride, pad):
+        h = stride * 3 + 3 - 2 * pad  # integral output extents: 4 x 5
+        x = ad.tensor(rng.standard_normal((2, h, h + stride)), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        assert conv_gradcheck(ad.conv2d, x, k, stride, pad) < 1e-4
+
+    @pytest.mark.parametrize("operand", ["input", "kernel"])
+    def test_gradient_of_one_operand(self, f64, rng, operand):
+        x = ad.tensor(rng.standard_normal((2, 7, 8)), requires_grad=operand == "input")
+        k = ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=operand == "kernel")
+        assert conv_gradcheck(ad.conv2d, x, k, 1, 1) < 1e-4
+        assert (k if operand == "input" else x).grad is None
+
 
 class TestConv3d:
     def test_matches_loop_oracle(self, f64, rng):
@@ -98,6 +120,27 @@ class TestConv3d:
             lambda x, k: ad.sum_(ad.conv3d(x, k, stride=1, padding=1) * c),
             [x, k], max_entries=16)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_matches_loop_oracle_stride_2(self, f64, rng, pad):
+        x = rng.standard_normal((2, 5, 7, 5))
+        k = rng.standard_normal((3, 2, 3, 3, 3))
+        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=2, padding=pad)
+        np.testing.assert_allclose(out.data, conv3d_loop(x, k, 2, pad), atol=1e-6)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+    def test_gradients_strided_and_padded(self, f64, rng, stride, pad):
+        d = stride * 2 + 3 - 2 * pad  # integral output extents: 3 x 4 x 3
+        x = ad.tensor(rng.standard_normal((2, d, d + stride, d)), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=True)
+        assert conv_gradcheck(ad.conv3d, x, k, stride, pad) < 1e-4
+
+    @pytest.mark.parametrize("operand", ["input", "kernel"])
+    def test_gradient_of_one_operand(self, f64, rng, operand):
+        x = ad.tensor(rng.standard_normal((2, 4, 5, 4)), requires_grad=operand == "input")
+        k = ad.tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=operand == "kernel")
+        assert conv_gradcheck(ad.conv3d, x, k, 1, 1) < 1e-4
+        assert (k if operand == "input" else x).grad is None
 
 
 class TestGridSample:
@@ -139,6 +182,34 @@ class TestGridSample:
             lambda x, g: ad.sum_(ad.grid_sample_2d(x, g)[0] * c),
             [x, grid], max_entries=None)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("operand", ["image", "grid"])
+    def test_gradient_of_one_operand(self, f64, rng, operand):
+        x = ad.tensor(rng.standard_normal((2, 5, 6)), requires_grad=operand == "image")
+        # Off the integer lattice, and partly out of bounds to cover masked lanes.
+        grid = ad.tensor(np.round(rng.uniform(-1.0, 5.0, size=(2, 3, 4, 2))) + 0.37,
+                         requires_grad=operand == "grid")
+        c = ad.tensor(rng.standard_normal((2, 2, 3, 4)))
+        worst = ad.gradcheck(
+            lambda x, g: ad.sum_(ad.grid_sample_2d(x, g)[0] * c),
+            [x, grid], max_entries=None)
+        assert worst < 1e-4
+        assert (grid if operand == "image" else x).grad is None
+
+    def test_editing_returned_mask_leaves_gradients(self, f64, rng):
+        x = ad.tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        grid = ad.tensor(rng.uniform(-1.0, 5.0, size=(3, 4, 2)), requires_grad=True)
+        grads = []
+        for edit in (False, True):
+            x.zero_grad()
+            grid.zero_grad()
+            out, mask = ad.grid_sample_2d(x, grid)
+            if edit:
+                mask[...] = ~mask
+            ad.sum_(out * out).backward()
+            grads.append((x.grad, grid.grad))
+        for before, after in zip(*grads):
+            np.testing.assert_array_equal(before, after)
 
 
 class TestUpsample:
