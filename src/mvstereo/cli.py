@@ -197,7 +197,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _reference_cloud(views, stride: int = 1):
+def _reference_cloud(views):
     import numpy as np
     from .cameras import backproject_pixels
     from .fusion import PointCloud
@@ -206,9 +206,9 @@ def _reference_cloud(views, stride: int = 1):
         h, w = view.depth.shape
         ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                              np.arange(w, dtype=np.float64), indexing="ij")
-        valid = (view.depth > 0)[::stride, ::stride]
-        xy = np.stack([xs, ys], axis=-1)[::stride, ::stride][valid]
-        d = view.depth[::stride, ::stride][valid]
+        valid = view.depth > 0
+        xy = np.stack([xs, ys], axis=-1)[valid]
+        d = view.depth[valid]
         pts.append(backproject_pixels(view.intrinsics, view.extrinsics, xy, d))
     return PointCloud(points=np.concatenate(pts))
 

@@ -40,11 +40,16 @@ def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"Pf":
             raise ContractError(f"{path}: not a grayscale PFM")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline().strip())
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(4 * w * h), dtype=dtype).reshape(h, w)
+        try:
+            w, h = (int(v) for v in fh.readline().split())
+            scale = float(fh.readline())
+        except ValueError:
+            raise ContractError(f"{path}: malformed PFM dims or scale line") from None
+        payload = fh.read()
+    if min(w, h) < 0 or len(payload) != 4 * w * h:
+        raise ContractError(f"{path}: PFM header says {w}x{h} floats, "
+                            f"payload has {len(payload)} bytes")
+    data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4").reshape(h, w)
     return np.ascontiguousarray(data[::-1]).astype(np.float32)
 
 
@@ -70,6 +75,9 @@ def read_ppm(path) -> np.ndarray:
     if not header:
         raise ContractError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in header.groups())
+    if not 0 < maxval < 256 or len(blob) - header.end() < w * h * 3:
+        raise ContractError(f"{path}: PPM header {w}x{h} maxval {maxval} does not fit "
+                            f"its {len(blob) - header.end()} payload bytes")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=header.end())
     return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
 
@@ -90,7 +98,8 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    with open(path, "r", encoding="ascii") as fh:
+    """Cloud from the ASCII PLY that `write_ply` writes: x y z red green blue."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         if fh.readline().strip() != "ply":
             raise ContractError(f"{path}: not a PLY file")
         count = 0
@@ -99,13 +108,22 @@ def read_ply(path) -> PointCloud:
             if not line:
                 raise ContractError(f"{path}: truncated PLY header")
             if line.startswith("element vertex"):
-                count = int(line.split()[-1])
+                field = line.split()[-1]
+                if not field.isdigit():
+                    raise ContractError(f"{path}: malformed PLY line {line.strip()!r}")
+                count = int(field)
             if line.strip() == "end_header":
                 break
-        rows = [fh.readline().split() for _ in range(count)]
-    if not rows:
-        return PointCloud(points=np.zeros((0, 3)), colors=np.zeros((0, 3)))
-    arr = np.array(rows, dtype=np.float64)
+        rows = []
+        for i in range(count):
+            line = fh.readline()
+            if not line.endswith("\n"):
+                raise ContractError(f"{path}: truncated PLY, {i} of {count} vertex rows")
+            rows.append(line.split())
+    try:
+        arr = np.array(rows, dtype=np.float64).reshape(count, 6)
+    except ValueError:
+        raise ContractError(f"{path}: PLY vertex rows are not 6 numbers each") from None
     return PointCloud(points=arr[:, :3], colors=arr[:, 3:6] / 255.0)
 
 

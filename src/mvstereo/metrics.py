@@ -13,6 +13,7 @@ __all__ = [
 ]
 
 DEPTH_NORMALIZATION_SPAN = 128.0
+_MAX_PAIRS = 1 << 14  # (query, cell) or (query, point) pairs per grid-search batch
 
 
 class MetricError(ContractError):
@@ -22,71 +23,114 @@ class MetricError(ContractError):
 class GridIndex:
     """Uniform-voxel spatial index for exact nearest-neighbor queries.
 
-    Cells are scanned in growing Chebyshev rings around the query; a point
-    in a ring-(r+1) cell is at least r * cell_size away, so the search can
-    stop as soon as the best distance found is within r * cell_size.
+    Points are sorted by linear cell key, with a CSR table of the occupied
+    cells (sorted keys, first point, point count). All queries scan growing
+    Chebyshev rings of cells together; a point in a ring-(r+1) cell is at
+    least r * cell_size away, so a query stops once its best distance is
+    within r * cell_size. Work is batched at ``_MAX_PAIRS`` (query, cell) or
+    (query, point) pairs, so peak memory does not grow with the query count.
     """
 
     def __init__(self, points: np.ndarray, cell_size: float | None = None):
-        self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        if self.points.shape[0] == 0:
+        points = _finite_xyz(points, "indexed points")
+        if points.shape[0] == 0:
             raise MetricError("cannot index an empty point cloud")
-        self.origin = self.points.min(axis=0)
-        extent = self.points.max(axis=0) - self.origin
+        self.origin = points.min(axis=0)
+        extent = points.max(axis=0) - self.origin
         if cell_size is None:
             # Size cells from the largest extent so flat or degenerate
             # clouds cannot explode the key space.
             side = max(float(extent.max()), 1e-9)
-            cell_size = side / max(round(self.points.shape[0] ** (1 / 3)), 1)
+            cell_size = side / max(round(points.shape[0] ** (1 / 3)), 1)
         self.cell = float(cell_size)
-        keys = np.floor((self.points - self.origin) / self.cell).astype(np.int64)
+        if not (self.cell > 0 and np.log2(extent / self.cell + 1).sum() < 62):
+            raise MetricError(f"cell size {self.cell!r} is not positive or gives too many cells")
+        keys = np.floor((points - self.origin) / self.cell).astype(np.int64)
         self.max_key = keys.max(axis=0)
-        self.cells: dict[tuple[int, int, int], list[int]] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            self.cells.setdefault(key, []).append(i)
-        self.max_ring = int(np.max(self.max_key)) + 2
-
-    def _ring_cells(self, center: np.ndarray, r: int):
-        """Occupied-box cells at exact Chebyshev distance r from center."""
-        lo = np.maximum(center - r, 0)
-        hi = np.minimum(center + r, self.max_key)
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                for z in range(lo[2], hi[2] + 1):
-                    if max(abs(x - center[0]), abs(y - center[1]), abs(z - center[2])) == r:
-                        yield (x, y, z)
+        linear = np.ravel_multi_index(tuple(keys.T), self.max_key + 1)
+        self._order = np.argsort(linear, kind="stable")
+        self._points = points[self._order]
+        self._keys, self._starts, self._counts = np.unique(
+            linear[self._order], return_index=True, return_counts=True)
 
     def nearest(self, query: np.ndarray) -> tuple[float, int]:
-        """Distance and index of the closest indexed point.
-
-        The search starts from the query's cell clamped into the occupied
-        box: cells outside it are empty, and any existing cell at
-        Chebyshev ring r from the clamped start is at least (r-1) * cell
-        from the query, so the (r * cell) stop bound stays valid.
-        """
-        q = np.asarray(query, dtype=np.float64)
-        raw = np.floor((q - self.origin) / self.cell).astype(np.int64)
-        center = np.clip(raw, 0, self.max_key)
-        coverage = int(np.maximum(center, self.max_key - center).max())
-        best_d2 = np.inf
-        best_i = -1
-        for r in range(coverage + 1):
-            for key in self._ring_cells(center, r):
-                idxs = self.cells.get(key)
-                if not idxs:
-                    continue
-                d2 = ((self.points[idxs] - q) ** 2).sum(axis=1)
-                j = int(np.argmin(d2))
-                if d2[j] < best_d2:
-                    best_d2 = float(d2[j])
-                    best_i = idxs[j]
-            if best_i >= 0 and best_d2 <= (r * self.cell) ** 2:
-                break
-        return float(np.sqrt(best_d2)), best_i
+        """Distance and index (in the caller's point order) of the closest point."""
+        d2, index = self._search(np.asarray(query, dtype=np.float64).reshape(1, 3))
+        return float(np.sqrt(d2[0])), int(index[0])
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-        return np.array([self.nearest(p)[0] for p in q])
+        return np.sqrt(self._search(queries)[0])
+
+    def _search(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Squared nearest distances and original point indices.
+
+        Each query starts from its cell clamped into the occupied box: cells
+        outside it are empty, and any cell at ring r from the clamped start
+        is at least (r-1) * cell from the query, so the (r * cell) stop
+        bound stays valid. By its ``coverage`` ring a query has seen the box.
+        """
+        q = _finite_xyz(queries, "queries")
+        best, index = np.full(len(q), np.inf), np.full(len(q), -1)
+        center = np.clip(np.floor((q - self.origin) / self.cell), 0,
+                         self.max_key).astype(np.int64)
+        coverage = np.maximum(center, self.max_key - center).max(axis=1)
+        active, r = np.arange(len(q)), 0
+        while active.size:
+            shell = _shell(r, self.max_key)
+            for owner, k in _batches(np.full(active.size, len(shell))):
+                qi = active[owner]
+                cells = center[qi] + shell[k]
+                inside = ((cells >= 0) & (cells <= self.max_key)).all(axis=1)
+                qi, key = qi[inside], np.ravel_multi_index(tuple(cells[inside].T),
+                                                           self.max_key + 1)
+                slot = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+                hit = self._keys[slot] == key
+                qi, slot = qi[hit], slot[hit]
+                # Expand each (query, cell) hit to its (query, point) pairs.
+                for pair, k in _batches(self._counts[slot]):
+                    qq, point = qi[pair], self._starts[slot[pair]] + k
+                    d2 = ((self._points[point] - q[qq]) ** 2).sum(axis=-1)
+                    np.minimum.at(best, qq, d2)
+                    win = d2 == best[qq]
+                    index[qq[win]] = point[win]
+            active = active[(best[active] > (r * self.cell) ** 2) & (coverage[active] > r)]
+            r += 1
+        return best, self._order[index]
+
+
+def _batches(counts: np.ndarray):
+    """Split the pairs (i, k), 0 <= k < counts[i], into batches of at most
+    ``_MAX_PAIRS`` in order, yielding (i, k) index arrays per batch."""
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _MAX_PAIRS):
+        hi = min(lo + _MAX_PAIRS, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1]
+        owner = np.repeat(np.arange(first, last), np.minimum(ends[first:last], hi)
+                          - np.maximum(begins[first:last], lo))
+        yield owner, np.arange(lo, hi) - begins[owner]
+
+
+def _shell(r: int, max_key: np.ndarray) -> np.ndarray:
+    """Cell offsets at Chebyshev distance r that can stay in a box of
+    ``max_key + 1`` cells, as six faces without overlap; shape (K, 3)."""
+    if r == 0:
+        return np.zeros((1, 3), dtype=np.int64)
+    faces = []
+    for axis in np.flatnonzero(max_key >= r):
+        span = [np.arange(-min(r - (a < axis), m), min(r - (a < axis), m) + 1)
+                for a, m in enumerate(max_key)]
+        span[axis] = np.array([-r, r])
+        faces.append(np.stack(np.meshgrid(*span, indexing="ij"), axis=-1).reshape(-1, 3))
+    return np.concatenate(faces)
+
+
+def _finite_xyz(values, what: str) -> np.ndarray:
+    xyz = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(xyz).all():
+        raise MetricError(f"{what} contain non-finite coordinates")
+    return xyz
 
 
 def nearest_distances_bruteforce(queries: np.ndarray, points: np.ndarray) -> np.ndarray:

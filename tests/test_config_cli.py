@@ -114,6 +114,26 @@ n_heads = 2
     return root
 
 
+@pytest.fixture(scope="module")
+def noisy_fused_scene(small_scene_dir, tmp_path_factory):
+    """Fused cloud from ground-truth depths with 0.3% noise; (scene, fused dir)."""
+    from mvstereo.fileio import load_scene, write_pfm
+    scene_dir = small_scene_dir / "scenes" / "scene_0001"
+    views, _ = load_scene(scene_dir)
+    root = tmp_path_factory.mktemp("noisyfuse")
+    rng = np.random.default_rng(7)
+    for i, view in enumerate(views):
+        vdir = root / "depths" / f"view_{i:04d}"
+        vdir.mkdir(parents=True)
+        write_pfm(vdir / "depth_stage3.pfm",
+                  view.depth * (1 + 0.003 * rng.standard_normal(view.depth.shape)))
+        write_pfm(vdir / "conf_stage3.pfm", np.ones_like(view.depth))
+    result = run_cli("fuse", "--scene", str(scene_dir), "--depths", str(root / "depths"),
+                     "--out", str(root / "fused"))
+    assert result.returncode == 0, result.stderr
+    return scene_dir, root / "fused"
+
+
 class TestCliPipeline:
     def test_synth_writes_expected_layout(self, small_scene_dir):
         scene0 = small_scene_dir / "scenes" / "scene_0000"
@@ -175,6 +195,42 @@ class TestCliPipeline:
         assert accuracy < 2e-3
         assert overall < 0.05
         assert (tmp_path / "m.csv").exists()
+
+    def test_cloud_eval_csv_equals_bruteforce(self, noisy_fused_scene):
+        """fuse -> eval --mode cloud exits 0, and the CSV's accuracy is the
+        clamped mean brute-force distance from the fused cloud to the
+        reference cloud."""
+        from mvstereo.cameras import backproject_pixels
+        from mvstereo.fileio import load_scene, read_ply
+        from mvstereo.metrics import nearest_distances_bruteforce
+        scene_dir, fused = noisy_fused_scene
+        csv_path = fused.parent / "m.csv"
+        result = run_cli("eval", "--mode", "cloud", "--cloud", str(fused / "cloud.ply"),
+                         "--scene", str(scene_dir), "--out", str(csv_path))
+        assert result.returncode == 0, result.stderr
+        header, row = csv_path.read_text().splitlines()
+        assert header == "accuracy,completeness,overall"
+        views, manifest = load_scene(scene_dir)
+        reference = []
+        for view in views:
+            ys, xs = np.nonzero(view.depth > 0)
+            reference.append(backproject_pixels(
+                view.intrinsics, view.extrinsics,
+                np.stack([xs, ys], axis=-1).astype(np.float64), view.depth[ys, xs]))
+        clamp = 20 * (float(manifest["d_max"]) - float(manifest["d_min"])) / 128.0
+        cloud = read_ply(fused / "cloud.ply").points
+        distances = nearest_distances_bruteforce(cloud, np.concatenate(reference))
+        assert row.split(",")[0] == f"{np.minimum(distances, clamp).mean():.6f}"
+
+    def test_truncated_cloud_is_named_on_stderr(self, noisy_fused_scene, tmp_path):
+        scene_dir, fused = noisy_fused_scene
+        blob = (fused / "cloud.ply").read_bytes()
+        cut = tmp_path / "cloud.ply"
+        cut.write_bytes(blob[: len(blob) // 2])
+        result = run_cli("eval", "--mode", "cloud", "--cloud", str(cut),
+                         "--scene", str(scene_dir))
+        assert result.returncode == 1
+        assert str(cut) in result.stderr and "truncated" in result.stderr
 
     def test_gradcheck_command_single_scope(self):
         result = run_cli("gradcheck", "--scope", "matmul", "--instances", "3")

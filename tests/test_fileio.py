@@ -112,3 +112,76 @@ class TestSceneDirectory:
         for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+def _every_cut_is_named_or_exact(path, read, same) -> None:
+    """Cut the file at every byte offset: each read either raises a
+    ContractError that names the file or returns the original contents."""
+    blob = path.read_bytes()
+    full = read(path)
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        try:
+            back = read(path)
+        except ContractError as exc:
+            assert str(path) in str(exc), exc
+        else:
+            same(back, full)
+
+
+class TestTruncatedArtifacts:
+    def test_pfm(self, tmp_path, rng):
+        path = tmp_path / "d.pfm"
+        write_pfm(path, rng.standard_normal((3, 4)).astype(np.float32))
+        _every_cut_is_named_or_exact(path, read_pfm, np.testing.assert_array_equal)
+
+    def test_ppm(self, tmp_path, rng):
+        path = tmp_path / "i.ppm"
+        write_ppm(path, rng.random((3, 3, 4)))
+        _every_cut_is_named_or_exact(path, read_ppm, np.testing.assert_array_equal)
+
+    def test_ply(self, tmp_path, rng):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(points=rng.standard_normal((4, 3)), colors=rng.random((4, 3))))
+
+        def same(a, b):
+            np.testing.assert_array_equal(a.points, b.points)
+            np.testing.assert_array_equal(a.colors, b.colors)
+        _every_cut_is_named_or_exact(path, read_ply, same)
+
+    @pytest.mark.parametrize("header", [b"Pf\n4\n-1.0\n", b"Pf\n4 x\n-1.0\n",
+                                        b"Pf\n4 3 2\n-1.0\n", b"Pf\n4 3\nscale\n",
+                                        b"Pf\n-4 -3\n-1.0\n"])
+    def test_pfm_malformed_header(self, tmp_path, header):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(header + bytes(48))
+        with pytest.raises(ContractError, match="d.pfm"):
+            read_pfm(path)
+
+    def test_pfm_trailing_bytes(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        write_pfm(path, np.zeros((3, 4), np.float32))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ContractError, match="payload"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("body", ["element vertex many\n", "element vertex -2\n"])
+    def test_ply_malformed_count(self, tmp_path, body):
+        path = tmp_path / "c.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{body}end_header\n")
+        with pytest.raises(ContractError, match="c.ply"):
+            read_ply(path)
+
+    @pytest.mark.parametrize("row", ["1 2 3 4 5\n", "1 2 3 4 5 6 7\n", "1 2 x 4 5 6\n",
+                                     "1 2 \u00ff 4 5 6\n"])
+    def test_ply_malformed_row(self, tmp_path, row):
+        path = tmp_path / "c.ply"
+        path.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\nend_header\n{row}")
+        with pytest.raises(ContractError, match="c.ply"):
+            read_ply(path)
+
+    def test_ppm_bad_maxval(self, tmp_path):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(b"P6\n1 1\n0\n" + bytes(3))
+        with pytest.raises(ContractError, match="i.ppm"):
+            read_ppm(path)
