@@ -9,6 +9,8 @@ pixels cannot fake matches downstream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import DimensionError, Tensor, as_tensor, make_op
@@ -92,42 +94,44 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
 
 
-def _axis_weights(n: int, dtype):
-    """Source indices and blend weights doubling an axis of extent n.
+def _interp_matrix(n: int, dtype) -> np.ndarray:
+    """(2n x n) matrix doubling an axis of extent n by linear interpolation.
 
-    Output sample i maps to source (i + 0.5)/2 - 0.5; edges replicate.
+    Output sample i reads source coordinate (i + 0.5)/2 - 0.5, clamped to
+    [0, n - 1] so edges replicate; column j weighs it by the hat
+    max(0, 1 - |source - j|).
     """
-    src = (np.arange(2 * n, dtype=np.float64) + 0.5) / 2.0 - 0.5
-    i0 = np.clip(np.floor(src), 0, n - 1).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n - 1)
-    wgt = np.clip(src - i0, 0.0, 1.0).astype(dtype)
-    return i0, i1, wgt
+    src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+    return np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(n))).astype(dtype)
+
+
+def _apply_along(data: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis ``axis`` of ``data`` (extent n) with ``mat`` (m x n)."""
+    shape = data.shape
+    n = shape[axis]
+    if axis == data.ndim - 1:
+        out = data.reshape(-1, n) @ mat.T
+    else:
+        lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        out = np.matmul(mat, data.reshape(lead, n, trail))
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
 def _upsample_2x(input, n_spatial: int, op_name: str):
+    """Multiply each spatial axis by its interpolation matrix; backward
+    multiplies by the transposes in reverse order."""
     x = as_tensor(input)
     if x.ndim < n_spatial + 1:
         raise DimensionError(f"{op_name} expects at least {n_spatial + 1} dims, got {x.shape}")
-    axes = tuple(range(x.ndim - n_spatial, x.ndim))
-    plans = []
+    axes = range(x.ndim - n_spatial, x.ndim)
+    mats = [_interp_matrix(x.shape[axis], x.dtype) for axis in axes]
     data = x.data
-    for axis in axes:
-        i0, i1, wgt = _axis_weights(data.shape[axis], x.dtype)
-        shape = [1] * data.ndim
-        shape[axis] = wgt.size
-        wb = wgt.reshape(shape)
-        data = np.take(data, i0, axis=axis) * (1 - wb) + np.take(data, i1, axis=axis) * wb
-        plans.append((axis, i0, i1, wb))
+    for axis, mat in zip(axes, mats):
+        data = _apply_along(data, mat, axis)
 
     def backward(g):
-        for axis, i0, i1, wb in reversed(plans):
-            n = i0.size // 2
-            moved = np.moveaxis(g, axis, 0)
-            acc = np.zeros((n,) + moved.shape[1:], dtype=g.dtype)
-            wm = np.moveaxis(np.broadcast_to(wb, g.shape), axis, 0)
-            np.add.at(acc, i0, moved * (1 - wm))
-            np.add.at(acc, i1, moved * wm)
-            g = np.moveaxis(acc, 0, axis)
+        for axis, mat in zip(reversed(axes), reversed(mats)):
+            g = _apply_along(g, mat.T, axis)
         return (g,)
 
     return make_op(op_name, data, (x,), backward)

@@ -203,9 +203,6 @@ class Tensor:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
         Tape.trace(self).backward(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     # -- operator sugar (implementations live in ops.py) ----------------------
     def __add__(self, other):
         from . import ops

@@ -29,7 +29,6 @@ class TrainSettings:
     learning_rate: float = 1e-3
     decay_factor: float = 0.5
     decay_steps: tuple[int, ...] = (180, 240)
-    n_scenes: int = 8
 
 
 @dataclass
@@ -108,7 +107,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "cascade": {
         "counts": ("counts", _parse_ints),
         "decays": ("decays", _parse_floats),
-        "weights": ("weights", _parse_floats),
         "d_min": ("d_min", float),
         "d_max": ("d_max", float),
     },
@@ -121,7 +119,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "learning_rate": ("learning_rate", float),
         "decay_factor": ("decay_factor", float),
         "decay_steps": ("decay_steps", _parse_ints),
-        "n_scenes": ("n_scenes", int),
     },
     "fusion": {
         "confidence": ("confidence", float),

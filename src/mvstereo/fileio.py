@@ -173,15 +173,19 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
         if "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
             manifest[key] = value
-    n_views = int(manifest["n_views"])
-    d_min = float(manifest["d_min"])
-    d_max = float(manifest["d_max"])
+    numbers = {}
+    for key, kind in (("n_views", int), ("d_min", float), ("d_max", float)):
+        try:
+            numbers[key] = kind(manifest[key])
+        except (KeyError, ValueError):
+            raise ContractError(f"{manifest_path}: '{key}' is missing or not "
+                                f"a valid {kind.__name__}") from None
     views = []
-    for i in range(n_views):
+    for i in range(numbers["n_views"]):
         image = read_ppm(directory / f"view_{i:04d}.ppm")
         depth = read_pfm(directory / f"depth_{i:04d}.pfm").astype(np.float64)
         intr, extr, _ = load_camera_file(directory / f"cam_{i:04d}.txt")
         views.append(CameraView(
             intrinsics=intr, extrinsics=extr, image=image, depth=depth,
-            mask=depth > 0, d_min=d_min, d_max=d_max))
+            mask=depth > 0, d_min=numbers["d_min"], d_max=numbers["d_max"]))
     return views, manifest

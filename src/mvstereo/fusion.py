@@ -68,8 +68,8 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def _sample_depth(depth: np.ndarray, xy: np.ndarray, bilinear: bool = True) -> np.ndarray:
-    """Read a depth map at continuous coordinates; 0 outside or where invalid.
+def _sample_depth(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Bilinearly read a depth map at continuous coordinates; 0 outside or where invalid.
 
     A hair of slack at the border keeps exact-edge warps (identity camera
     pairs land on w-1 plus float noise) classified as inside.
@@ -80,9 +80,6 @@ def _sample_depth(depth: np.ndarray, xy: np.ndarray, bilinear: bool = True) -> n
     inside = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
     xc = np.clip(x, 0, w - 1)
     yc = np.clip(y, 0, h - 1)
-    if not bilinear:
-        d = depth[np.rint(yc).astype(int), np.rint(xc).astype(int)]
-        return np.where(inside & (d > 0), d, 0.0)
     x0 = np.clip(np.floor(xc), 0, w - 2).astype(int)
     y0 = np.clip(np.floor(yc), 0, h - 2).astype(int)
     fx = xc - x0
@@ -98,8 +95,7 @@ def _sample_depth(depth: np.ndarray, xy: np.ndarray, bilinear: bool = True) -> n
 
 
 def geometric_check(ref_depth: np.ndarray, src_depth: np.ndarray,
-                    ref_view: CameraView, src_view: CameraView,
-                    bilinear: bool = True) -> ConsistencyRecord:
+                    ref_view: CameraView, src_view: CameraView) -> ConsistencyRecord:
     """Round-trip consistency of a reference depth map against one source."""
     if ref_depth.shape != (ref_view.height, ref_view.width):
         raise DimensionError(
@@ -113,7 +109,7 @@ def geometric_check(ref_depth: np.ndarray, src_depth: np.ndarray,
     p_src, _, in_front = warp_pixel(p_ref, np.where(valid, ref_depth, 1.0),
                                     ref_view.intrinsics, ref_view.extrinsics,
                                     src_view.intrinsics, src_view.extrinsics)
-    d_src = _sample_depth(src_depth, p_src, bilinear=bilinear)
+    d_src = _sample_depth(src_depth, p_src)
     covis = valid & in_front & (d_src > 0)
 
     src_points = backproject_pixels(src_view.intrinsics, src_view.extrinsics,

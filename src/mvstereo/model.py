@@ -28,23 +28,22 @@ from .regularizer import (
     winner_take_all,
 )
 
-__all__ = ["CascadeConfig", "ModelConfig", "StageOutput", "StereoModel", "upsample2x_np"]
+__all__ = ["CascadeConfig", "ModelConfig", "StageOutput", "StereoModel"]
 
 STAGE_SCALES = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    """Per-stage hypothesis counts, interval decays, and loss weights."""
+    """Per-stage hypothesis counts and interval decays, plus the depth range."""
 
     counts: tuple[int, ...] = (16, 8, 4)
     decays: tuple[float, ...] = (1.0, 0.25, 0.5)
-    weights: tuple[float, ...] = (1.0, 1.0, 1.0)
     d_min: float = 1.2
     d_max: float = 3.3
 
     def __post_init__(self):
-        if not (len(self.counts) == len(self.decays) == len(self.weights) == 3):
+        if not (len(self.counts) == len(self.decays) == 3):
             raise ContractError("cascade config needs exactly three stages")
         if any(c2 > c1 for c1, c2 in zip(self.counts, self.counts[1:])):
             raise ContractError("hypothesis counts must be non-increasing")
@@ -72,20 +71,6 @@ class StageOutput:
     prob: ProbabilityVolume
     hyps: DepthHypotheses
     estimate: DepthEstimate
-
-
-def upsample2x_np(arr: np.ndarray) -> np.ndarray:
-    """Bilinear 2x upsampling of a plain (H, W) array (edge replicating)."""
-    from .autodiff.sampling import _axis_weights
-    out = arr
-    for axis in (0, 1):
-        i0, i1, wgt = _axis_weights(out.shape[axis], np.float64)
-        shape = [1, 1]
-        shape[axis] = wgt.size
-        wb = wgt.reshape(shape)
-        out = (np.take(out, i0, axis=axis) * (1 - wb)
-               + np.take(out, i1, axis=axis) * wb)
-    return out
 
 
 class StereoModel(Module):
@@ -165,7 +150,9 @@ class StereoModel(Module):
                 stage_feats = [merges[s - 1](c, r) for c, r in zip(carried, finer_feats[s - 1])]
             else:
                 stage_feats = finer_feats[s - 1]
-            prev_depth = upsample2x_np(outputs[-1].estimate.depth)
+            # A constant float64 tensor: no tape node, full depth precision.
+            prev_depth = ad.upsample_bilinear_2x(
+                ad.tensor(outputs[-1].estimate.depth[None], dtype=np.float64)).data[0]
             hyps = refine_hypotheses(prev_depth, cfg.counts[s], cfg.decays[s],
                                      interval, d_min, d_max, stage=s + 1)
             interval = hyps.interval

@@ -35,10 +35,6 @@ class Module:
             self._children[name] = value
         object.__setattr__(self, name, value)
 
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        self._params[name] = tensor
-        return tensor
-
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
         for name, p in self._params.items():

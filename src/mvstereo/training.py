@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -238,21 +239,38 @@ def save_checkpoint(path, model: StereoModel, optimizer: Adam | None = None) -> 
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint's named arrays. A cut, padded or malformed file
+    raises ContractError naming the file and, once read, the entry."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ContractError(f"{path} is not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(shape)
-            arrays[name] = data.astype(np.float64) if ad.get_default_dtype() == np.float64 else data.copy()
+        blob = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int, where: str) -> memoryview:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ContractError(f"{path}: truncated checkpoint: {where} needs {n} bytes "
+                                f"at offset {pos}, {len(blob) - pos} left")
+        pos += n
+        return blob[pos - n:pos]
+
+    if take(8, "header") != _MAGIC:
+        raise ContractError(f"{path} is not a checkpoint (bad magic)")
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != _VERSION:
+        raise ContractError(f"{path}: unsupported checkpoint version {version}")
+    arrays = {}
+    for i in range(count):
+        (name_len,) = struct.unpack("<I", take(4, f"entry {i}"))
+        name = bytes(take(name_len, f"entry {i}")).decode("utf-8", errors="replace")
+        where = f"entry {i} '{name}'"
+        (ndim,) = struct.unpack("<I", take(4, where))
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim, where))
+        if min(shape, default=0) < 0:
+            raise ContractError(f"{path}: negative extent in the shape of {where}")
+        data = np.frombuffer(take(4 * math.prod(shape), where), dtype="<f4").reshape(shape)
+        arrays[name] = data.astype(np.float64) if ad.get_default_dtype() == np.float64 else data.copy()
+    if pos != len(blob):
+        raise ContractError(f"{path}: {len(blob) - pos} trailing bytes after the last entry")
     return arrays
 
 

@@ -34,7 +34,7 @@ from mvstereo.metrics import (
     depth_metrics,
     nearest_distances_bruteforce,
 )
-from mvstereo.model import CascadeConfig, ModelConfig, StereoModel, upsample2x_np
+from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
 from mvstereo.regularizer import probability_volume, winner_take_all
 from mvstereo.scene import SceneSpec, covisible_mask, render_synthetic_scene
 from mvstereo.training import Adam, LossConfig, cascade_loss, fit, focal_loss
@@ -216,7 +216,8 @@ def test_criterion_8_cascade_contracts():
         chosen = np.take_along_axis(
             vals, outs[s].prob.values.data.argmax(axis=2)[..., None], axis=2)[..., 0]
         member_ok &= bool((chosen == outs[s].estimate.depth).all())
-        prev_up = upsample2x_np(outs[s - 1].estimate.depth)
+        prev_up = ad.upsample_bilinear_2x(
+            ad.tensor(outs[s - 1].estimate.depth[None], dtype=np.float64)).data[0]
         unclamped = ((vals[..., 0] > cfg.d_min + 1e-9)
                      & (vals[..., -1] < cfg.d_max - 1e-9))
         center_ok &= bool(np.allclose(vals.mean(axis=2)[unclamped],

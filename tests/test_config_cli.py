@@ -59,6 +59,11 @@ use_pathway = false
         cfg = load_config(text=text)
         assert cfg.model.cascade.counts == (16, 8, 4)
 
+    @pytest.mark.parametrize("section, key", [("cascade", "weights"), ("train", "n_scenes")])
+    def test_removed_keys_rejected_with_name(self, section, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(text=f"[{section}]\n{key} = 1\n")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.cfg")
@@ -231,6 +236,23 @@ class TestCliPipeline:
                          "--scene", str(scene_dir))
         assert result.returncode == 1
         assert str(cut) in result.stderr and "truncated" in result.stderr
+
+    @pytest.mark.parametrize("key, replacement", [("n_views", None), ("d_min", None),
+                                                  ("d_max", "d_max = far")])
+    def test_bad_manifest_is_named_on_stderr(self, noisy_fused_scene, tmp_path,
+                                             key, replacement):
+        import shutil
+        scene_dir, fused = noisy_fused_scene
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        manifest = scene / "manifest.txt"
+        lines = [replacement if line.split("=")[0].strip() == key else line
+                 for line in manifest.read_text().splitlines()]
+        manifest.write_text("\n".join(line for line in lines if line is not None) + "\n")
+        result = run_cli("eval", "--mode", "cloud", "--cloud", str(fused / "cloud.ply"),
+                         "--scene", str(scene))
+        assert result.returncode == 1
+        assert str(manifest) in result.stderr and f"'{key}'" in result.stderr
 
     def test_gradcheck_command_single_scope(self):
         result = run_cli("gradcheck", "--scope", "matmul", "--instances", "3")

@@ -143,7 +143,6 @@ class TestCascade:
 
     def test_hypothesis_nesting_and_interval_decay(self, outputs_and_model):
         """Stage s+1 windows center on upsampled stage-s depth, decayed step."""
-        from mvstereo.model import upsample2x_np
         _, model, outs = outputs_and_model
         cfg = model.config.cascade
         interval = outs[0].hyps.interval
@@ -151,7 +150,8 @@ class TestCascade:
             expected_interval = interval * cfg.decays[s]
             assert outs[s].hyps.interval == pytest.approx(expected_interval)
             interval = expected_interval
-            prev_up = upsample2x_np(outs[s - 1].estimate.depth)
+            prev_up = ad.upsample_bilinear_2x(
+                ad.tensor(outs[s - 1].estimate.depth[None], dtype=np.float64)).data[0]
             vals = outs[s].hyps.values
             centers = vals.mean(axis=2)
             unclamped = ((vals[..., 0] > cfg.d_min + 1e-9)

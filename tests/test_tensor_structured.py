@@ -1,9 +1,12 @@
 """Convolutions, grid sampling, and upsampling against loop oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mvstereo import autodiff as ad
+from mvstereo.autodiff import sampling
 
 
 def conv2d_loop(x, k, stride, pad):
@@ -212,7 +215,55 @@ class TestGridSample:
             np.testing.assert_array_equal(before, after)
 
 
+def upsample_loop(x, n_spatial):
+    """Per-element 2x linear upsampling of the last ``n_spatial`` axes.
+
+    Output index o along an axis of extent n reads source coordinate
+    (o + 0.5)/2 - 0.5, clamped into [0, n - 1], between its two neighbours.
+    """
+    split = x.ndim - n_spatial
+    out = np.zeros(x.shape[:split] + tuple(2 * n for n in x.shape[split:]))
+    for idx in np.ndindex(*out.shape):
+        taps = []
+        for o, n in zip(idx[split:], x.shape[split:]):
+            s = min(max((o + 0.5) / 2 - 0.5, 0.0), n - 1.0)
+            j0 = int(np.floor(s))
+            taps.append(((j0, 1.0 - (s - j0)), (min(j0 + 1, n - 1), s - j0)))
+        for corner in itertools.product(*taps):
+            weight = np.prod([w for _, w in corner])
+            out[idx] += weight * x[idx[:split] + tuple(j for j, _ in corner)]
+    return out
+
+
 class TestUpsample:
+    @pytest.mark.parametrize("h, w", list(itertools.product((1, 2, 3, 4), repeat=2)))
+    def test_bilinear_equals_loop_oracle(self, f64, rng, h, w):
+        x = rng.standard_normal((2, h, w))
+        out = ad.upsample_bilinear_2x(ad.tensor(x))
+        np.testing.assert_allclose(out.data, upsample_loop(x, 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dhw", [(1, 2, 3), (2, 3, 4), (3, 4, 1), (4, 1, 2), (5, 5, 5)])
+    def test_trilinear_equals_loop_oracle(self, f64, rng, dhw):
+        x = rng.standard_normal((2,) + dhw)
+        out = ad.upsample_trilinear_2x(ad.tensor(x))
+        np.testing.assert_allclose(out.data, upsample_loop(x, 3), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3, 4), (1, 3, 2, 3)])
+    def test_trilinear_gradients_exhaustive(self, f64, rng, shape):
+        v = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+        c = ad.tensor(rng.standard_normal(shape[:1] + tuple(2 * n for n in shape[1:])))
+        worst = ad.gradcheck(lambda v: ad.sum_(ad.upsample_trilinear_2x(v) * c),
+                             [v], max_entries=None)
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("name, ndim", [("upsample_bilinear_2x", 3),
+                                            ("upsample_trilinear_2x", 4)])
+    def test_node_op_is_function_name(self, f64, name, ndim):
+        fn = getattr(ad, name)
+        assert fn is getattr(sampling, name)
+        out = fn(ad.tensor(np.ones((2,) * ndim), requires_grad=True))
+        assert out.node.op == name
+
     def test_2x_shapes_and_constant_preservation(self, f64):
         x = ad.tensor(np.full((2, 3, 5), 1.25))
         out = ad.upsample_bilinear_2x(x)

@@ -244,6 +244,54 @@ class TestCheckpoint:
         with pytest.raises(ad.ContractError, match="magic"):
             load_checkpoint(path)
 
+    def test_cut_or_padded_file_is_named(self, f32, tmp_path):
+        """Cuts in the header and in every field of the first and last entry,
+        and one appended byte, raise ContractError naming the file and, once
+        read, the entry."""
+        import struct
+        _, model, opt = _tiny_setup(seed=4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model, opt)
+        blob = path.read_bytes()
+        names = sorted({**model.state(), **opt.state()})
+        # Walk the layout: each field's offset and length, its entry, and
+        # whether the entry's name precedes it (ndim, shape, data).
+        fields, pos = [], 16
+        for name in names:
+            (name_len,) = struct.unpack_from("<I", blob, pos)
+            (ndim,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
+            shape = struct.unpack_from(f"<{ndim}q", blob, pos + 8 + name_len)
+            for length, after_name in ((4, False), (name_len, False), (4, True),
+                                       (8 * ndim, True), (4 * int(np.prod(shape)), True)):
+                fields.append((pos, length, name, after_name))
+                pos += length
+        assert pos == len(blob)
+        cuts = [(size, None) for size in range(16)]
+        for offset, length, name, after_name in fields:
+            if name in (names[0], names[-1]):
+                cuts += [(offset + k, name if after_name else None)
+                         for k in sorted({0, length // 2, length - 1})]
+        for size, name in cuts:
+            cut = tmp_path / "cut.bin"
+            cut.write_bytes(blob[:size])
+            with pytest.raises(ad.ContractError) as info:
+                load_checkpoint(cut)
+            assert str(cut) in str(info.value)
+            if name is not None:
+                assert f"'{name}'" in str(info.value)
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes(blob + b"\0")
+        with pytest.raises(ad.ContractError, match="trailing") as info:
+            load_checkpoint(padded)
+        assert str(padded) in str(info.value)
+        shape_offset = fields[3][0]  # the first entry's shape field
+        negative = tmp_path / "negative.bin"
+        negative.write_bytes(blob[:shape_offset] + struct.pack("<q", -1)
+                             + blob[shape_offset + 8:])
+        with pytest.raises(ad.ContractError, match="negative") as info:
+            load_checkpoint(negative)
+        assert str(negative) in str(info.value) and f"'{names[0]}'" in str(info.value)
+
     def test_layout_is_little_endian_float32(self, f32, tmp_path):
         import struct
         _, model, _ = _tiny_setup(seed=4)
