@@ -41,36 +41,39 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     gy = g_t.data[..., 1]
     valid = (gx >= 0) & (gx <= w - 1) & (gy >= 0) & (gy <= h - 1)
 
-    # Keep arithmetic finite for wild coordinates; invalid lanes are zeroed.
-    # Non-finite coordinates (e.g. from diverged upstream values) index as
-    # out-of-bounds instead of crashing the gather.
-    cx = np.where(np.isfinite(gx), np.clip(gx, -1.0, float(w)), -1.0)
-    cy = np.where(np.isfinite(gy), np.clip(gy, -1.0, float(h)), -1.0)
-    x0 = np.clip(np.floor(cx), 0, w - 2).astype(np.int64)
-    y0 = np.clip(np.floor(cy), 0, h - 2).astype(np.int64)
-    wx = (cx - x0).astype(x_t.dtype)
-    wy = (cy - y0).astype(x_t.dtype)
-    i00 = y0 * w + x0
+    i00, wx, wy = _lower_corners(gx, gy, h, w, x_t.dtype)
     offsets = (0, 1, w, w + 1)  # flat offsets of corners 00, 01, 10, 11
 
     # Only i00, wx, wy and the mask are saved for backward; the corner
-    # values and blend weights are gathered or recomputed there.
-    def corners():
+    # values and blend weights are gathered or recomputed there. The indices
+    # are in range, so mode="clip" changes no value; it lets ``take`` write
+    # straight into ``out`` instead of through a buffered copy.
+    def gather(offset, out=None):
         flat = x_t.data.reshape(c, h * w)
-        return [flat[:, i00 + off] for off in offsets]
+        return np.take(flat, i00 + offset, axis=1, out=out, mode="clip")
 
     def blend_weights():
+        """The weights of corners 00, 01, 10 and 11, computed one at a time."""
         vf = valid.astype(x_t.dtype)
-        return ((1 - wx) * (1 - wy) * vf, wx * (1 - wy) * vf,
-                (1 - wx) * wy * vf, wx * wy * vf)
+        yield (1 - wx) * (1 - wy) * vf
+        yield wx * (1 - wy) * vf
+        yield (1 - wx) * wy * vf
+        yield wx * wy * vf
 
-    v00, v01, v10, v11 = corners()
-    w00, w01, w10, w11 = blend_weights()
-    raw = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11  # (C, ...batch..., H', W')
-    out = np.ascontiguousarray(np.moveaxis(raw, 0, g_t.ndim - 3))
+    # Blend ((v00*w00 + v01*w01) + v10*w10) + v11*w11 in place, into the
+    # output in its final [..., C, H', W'] layout through a channel-first
+    # view, with one reused buffer for the gathered corner.
+    batch_nd = g_t.ndim - 3
+    out = np.empty(g_t.shape[:batch_nd] + (c,) + g_t.shape[batch_nd:-1], dtype=x_t.dtype)
+    blend = np.moveaxis(out, batch_nd, 0)  # (C, ...batch..., H', W')
+    corner = np.empty(blend.shape, dtype=out.dtype)
+    weights = blend_weights()
+    np.multiply(gather(offsets[0], corner), next(weights), out=blend)
+    for offset, wgt in zip(offsets[1:], weights):
+        blend += np.multiply(gather(offset, corner), wgt, out=corner)
 
     def backward(g):
-        gc = np.moveaxis(g, g_t.ndim - 3, 0)  # (C, ...)
+        gc = np.moveaxis(g, batch_nd, 0)  # (C, ...)
         gx_in = gg = None
         if x_t.requires_grad:
             acc = np.zeros(c * h * w, dtype=x_t.dtype)
@@ -82,7 +85,7 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
                                    minlength=c * h * w).astype(x_t.dtype)
             gx_in = acc.reshape(c, h, w)
         if g_t.requires_grad:
-            v00, v01, v10, v11 = corners()
+            v00, v01, v10, v11 = (gather(offset) for offset in offsets)
             vf = valid.astype(x_t.dtype)
             dx = ((1 - wy) * (v01 - v00) + wy * (v11 - v10)) * vf
             dy = ((1 - wx) * (v10 - v00) + wx * (v11 - v01)) * vf
@@ -92,6 +95,21 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     # The caller gets its own mask: backward reads ``valid``, so a caller
     # editing the returned mask in place must not change the gradients.
     return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
+
+
+def _lower_corners(gx, gy, h: int, w: int, dtype):
+    """Flat index of each sample's top-left corner in an [H, W] plane, and
+    its x and y blend weights.
+
+    Wild coordinates are clipped so arithmetic stays finite (their lanes are
+    masked out), and non-finite ones (e.g. from diverged upstream values)
+    index as out-of-bounds instead of crashing the gather.
+    """
+    cx = np.where(np.isfinite(gx), np.clip(gx, -1.0, float(w)), -1.0)
+    cy = np.where(np.isfinite(gy), np.clip(gy, -1.0, float(h)), -1.0)
+    x0 = np.clip(np.floor(cx), 0, w - 2).astype(np.int64)
+    y0 = np.clip(np.floor(cy), 0, h - 2).astype(np.int64)
+    return y0 * w + x0, (cx - x0).astype(dtype), (cy - y0).astype(dtype)
 
 
 def _interp_matrix(n: int, dtype) -> np.ndarray:

@@ -323,6 +323,8 @@ def parse_camera_text(text: str) -> tuple[Intrinsics, Extrinsics, dict]:
     """Parse the camera text format; returns (intrinsics, extrinsics, range info).
 
     The range dict holds d_min and interval, plus count/d_max when present.
+    A token that is not a finite number, or a count that is not a positive
+    integer, raises ContractError.
     """
     tokens = text.split()
     try:
@@ -330,23 +332,37 @@ def parse_camera_text(text: str) -> tuple[Intrinsics, Extrinsics, dict]:
         i_at = tokens.index("intrinsic")
     except ValueError as exc:
         raise ContractError("camera text missing 'extrinsic'/'intrinsic' tokens") from exc
-    ext_vals = [float(t) for t in tokens[e_at + 1:e_at + 17]]
+    ext_vals = _numbers(tokens[e_at + 1:e_at + 17], "extrinsic block")
     if len(ext_vals) != 16:
         raise ContractError("camera text: extrinsic block must hold 16 numbers")
     m4 = np.array(ext_vals).reshape(4, 4)
-    intr_vals = [float(t) for t in tokens[i_at + 1:i_at + 10]]
+    intr_vals = _numbers(tokens[i_at + 1:i_at + 10], "intrinsic block")
     if len(intr_vals) != 9:
         raise ContractError("camera text: intrinsic block must hold 9 numbers")
     k = np.array(intr_vals).reshape(3, 3)
     if abs(k[0, 1]) > 1e-12:
         raise ContractError("camera text: skew must be zero")
-    rest = [float(t) for t in tokens[i_at + 10:]]
+    rest = _numbers(tokens[i_at + 10:], "depth line")
     if len(rest) not in (2, 4):
         raise ContractError("camera text: depth line must be 'd_min interval [count d_max]'")
     info = {"d_min": rest[0], "interval": rest[1]}
     if len(rest) == 4:
+        if not (rest[2] >= 1 and rest[2] == int(rest[2])):
+            raise ContractError(f"camera text: hypothesis count {rest[2]!r} "
+                                f"is not a positive integer")
         info["count"] = int(rest[2])
         info["d_max"] = rest[3]
     intr = Intrinsics(k[0, 0], k[1, 1], k[0, 2], k[1, 2])
     extr = Extrinsics(m4[:3, :3], m4[:3, 3])
     return intr, extr, info
+
+
+def _numbers(tokens: list[str], what: str) -> list[float]:
+    """Parse tokens as finite floats, naming the block of a bad one."""
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ContractError(f"camera text: {what} holds a non-numeric token ({exc})") from None
+    if not np.isfinite(values).all():
+        raise ContractError(f"camera text: {what} holds a non-finite number")
+    return values

@@ -137,7 +137,13 @@ def save_camera_file(path, view: CameraView, count: int | None = None) -> None:
 
 
 def load_camera_file(path) -> tuple[Intrinsics, Extrinsics, dict]:
-    return parse_camera_text(Path(path).read_text(encoding="utf-8"))
+    """Read a camera text file; bad text raises ContractError naming the file."""
+    try:
+        return parse_camera_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: camera file is not UTF-8 text") from None
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
 
 
 def save_scene(scene: SyntheticScene, directory, hypothesis_count: int = 16) -> None:

@@ -25,9 +25,9 @@ class GridIndex:
 
     Points are sorted by linear cell key, with a CSR table of the occupied
     cells (sorted keys, first point, point count). All queries scan growing
-    Chebyshev rings of cells together; a point in a ring-(r+1) cell is at
-    least r * cell_size away, so a query stops once its best distance is
-    within r * cell_size. Work is batched at ``_MAX_PAIRS`` (query, cell) or
+    Chebyshev rings of cells together, and a query stops once its best
+    distance is within the lower bound on the distance to any cell past the
+    current ring (see ``_search``). Work is batched at ``_MAX_PAIRS`` (query, cell) or
     (query, point) pairs, so peak memory does not grow with the query count.
     """
 
@@ -36,7 +36,8 @@ class GridIndex:
         if points.shape[0] == 0:
             raise MetricError("cannot index an empty point cloud")
         self.origin = points.min(axis=0)
-        extent = points.max(axis=0) - self.origin
+        self._top = points.max(axis=0)
+        extent = self._top - self.origin
         if cell_size is None:
             # Size cells from the largest extent so flat or degenerate
             # clouds cannot explode the key space.
@@ -65,15 +66,20 @@ class GridIndex:
         """Squared nearest distances and original point indices.
 
         Each query starts from its cell clamped into the occupied box: cells
-        outside it are empty, and any cell at ring r from the clamped start
-        is at least (r-1) * cell from the query, so the (r * cell) stop
-        bound stays valid. By its ``coverage`` ring a query has seen the box.
+        outside it are empty. A point past ring r lies beyond it along some
+        axis a, so it is at least r * cell plus the query's distance
+        ``out[a]`` outside the box along a away on that axis, and at least
+        ``out[b]`` on each other axis b. A query stops once its best squared
+        distance is within the least such bound over a; inside the box that
+        is (r * cell)^2. By its ``coverage`` ring a query has seen the box.
         """
         q = _finite_xyz(queries, "queries")
         best, index = np.full(len(q), np.inf), np.full(len(q), -1)
         center = np.clip(np.floor((q - self.origin) / self.cell), 0,
                          self.max_key).astype(np.int64)
         coverage = np.maximum(center, self.max_key - center).max(axis=1)
+        out = np.maximum(np.maximum(self.origin - q, q - self._top), 0.0)
+        out_min, out_d2 = out.min(axis=1), (out ** 2).sum(axis=1)
         active, r = np.arange(len(q)), 0
         while active.size:
             shell = _shell(r, self.max_key)
@@ -93,7 +99,9 @@ class GridIndex:
                     np.minimum.at(best, qq, d2)
                     win = d2 == best[qq]
                     index[qq[win]] = point[win]
-            active = active[(best[active] > (r * self.cell) ** 2) & (coverage[active] > r)]
+            reach = r * self.cell
+            bound = reach * (reach + 2 * out_min[active]) + out_d2[active]
+            active = active[(best[active] > bound) & (coverage[active] > r)]
             r += 1
         return best, self._order[index]
 

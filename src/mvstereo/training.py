@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -222,20 +226,31 @@ _VERSION = 1
 
 
 def save_checkpoint(path, model: StereoModel, optimizer: Adam | None = None) -> None:
+    """Write a checkpoint to a new file beside ``path``, then rename it over
+    ``path``: a save that fails midway leaves any previous file intact."""
     arrays: dict[str, np.ndarray] = model.state()
     if optimizer is not None:
         arrays.update(optimizer.state())
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(arr.tobytes())
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name], dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

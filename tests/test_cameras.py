@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvstereo import autodiff as ad
 from mvstereo.cameras import (
@@ -19,6 +21,7 @@ from mvstereo.cameras import (
     scale_camera,
     warp_pixel,
 )
+from mvstereo.fileio import load_camera_file
 from mvstereo.scene import SceneSpec, render_synthetic_scene
 
 
@@ -27,6 +30,12 @@ IDENTITY = Extrinsics(np.eye(3), np.zeros(3))
 
 def _simple_intr():
     return Intrinsics(fx=50.0, fy=55.0, cx=20.0, cy=15.0)
+
+
+def _with_depth_line(tail: str) -> str:
+    """Camera text with a valid pose and intrinsics and the given depth line."""
+    text = format_camera_text(_simple_intr(), IDENTITY, 0.5, 0.05)
+    return text[:text.rstrip("\n").rfind("\n") + 1] + tail + "\n"
 
 
 class TestCameraTypes:
@@ -196,6 +205,59 @@ class TestCameraText:
     def test_missing_tokens_rejected(self):
         with pytest.raises(ad.ContractError, match="extrinsic"):
             parse_camera_text("intrinsic\n1 0 0\n0 1 0\n0 0 1\n0.5 0.05\n")
+
+    @pytest.mark.parametrize("tail,match", [
+        ("0.5 abc", "non-numeric"),
+        ("nan 0.05", "non-finite"),
+        ("0.5 inf", "non-finite"),
+        ("0.5 0.05 16 -inf", "non-finite"),
+        ("0.5 0.05 3.7 2.0", "count 3.7"),
+        ("0.5 0.05 0 2.0", "count 0"),
+    ])
+    def test_bad_depth_line_rejected(self, tail, match):
+        with pytest.raises(ad.ContractError, match=match):
+            parse_camera_text(_with_depth_line(tail))
+
+    @pytest.mark.parametrize("block,bad", [("extrinsic", "1,0"), ("intrinsic", "NaN")])
+    def test_bad_matrix_token_rejected(self, block, bad):
+        lines = format_camera_text(_simple_intr(), IDENTITY, 0.5, 0.05).split("\n")
+        at = lines.index(block) + 1
+        lines[at] = lines[at].replace("0", bad, 1)
+        with pytest.raises(ad.ContractError, match=block):
+            parse_camera_text("\n".join(lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_garbage_text_raises_contract_error(self, data):
+        text = format_camera_text(_simple_intr(), IDENTITY, 0.5, 0.05, 16, 1.3)
+        tokens = text.split()
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = text[:data.draw(st.integers(0, len(text)), label="cut")]
+        else:
+            at = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            tokens[at] = data.draw(st.one_of(
+                st.sampled_from(["nan", "-inf", "1e999", "2.5", "-3", "0x10", "extrinsic",
+                                 "intrinsic", "", "1e-320", "١"]),
+                st.text(max_size=6)), label="garbage")
+            mutated = " ".join(tokens)
+        try:
+            intr, extr, info = parse_camera_text(mutated)
+        except ad.ContractError:
+            return
+        assert np.isfinite(intr.matrix).all() and np.isfinite(extr.matrix4).all()
+        assert all(np.isfinite(v) for v in info.values())
+        assert isinstance(info.get("count", 1), int) and info.get("count", 1) >= 1
+
+    def test_load_camera_file_names_the_path(self, tmp_path):
+        path = tmp_path / "cam_0000.txt"
+        path.write_text(_with_depth_line("0.5 nan"), encoding="utf-8")
+        with pytest.raises(ad.ContractError, match="non-finite") as info:
+            load_camera_file(path)
+        assert str(path) in str(info.value)
+        path.write_bytes(b"extrinsic \xff\xfe")
+        with pytest.raises(ad.ContractError, match="UTF-8") as info:
+            load_camera_file(path)
+        assert str(path) in str(info.value)
 
 
 class TestCameraViewInvariants:

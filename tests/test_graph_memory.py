@@ -1,7 +1,9 @@
-"""Step memory is one graph, freed by reference count when the loss is dropped.
+"""Step memory is one graph, freed by reference count when the loss is
+dropped, and the hot ops allocate no whole-size temporaries.
 
-Both tests run with the cyclic garbage collector disabled, so any graph
-kept alive by a reference cycle would show up as growing traced memory.
+The graph tests run with the cyclic garbage collector disabled, so any
+graph kept alive by a reference cycle would show up as growing traced
+memory.
 """
 
 import gc
@@ -73,3 +75,30 @@ def test_train_step_memory_is_bounded(f32):
     # replace them and keep nothing else.
     growth = np.array(after[1:]) - after[0]
     assert np.all(growth < 1 * MB), f"live memory grew by {growth / MB} MB after step 1"
+
+
+def forward_peak(call) -> tuple[int, object]:
+    """Traced peak bytes allocated by a no-grad call, and its result."""
+    with ad.no_grad(), traced_without_gc():
+        tracemalloc.reset_peak()
+        baseline = live_bytes()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    return peak, result
+
+
+def test_conv3d_forward_peak_is_blocked(f32, rng):
+    """The stage-3 regularizer's largest layer: its whole patch matrix
+    would be 432 x 49152 float32 entries, 81 MB."""
+    x = ad.tensor(rng.standard_normal((16, 4, 96, 128)))
+    k = ad.tensor(rng.standard_normal((8, 16, 3, 3, 3)))
+    peak, _ = forward_peak(lambda: ad.conv3d(x, k, stride=1, padding=1))
+    assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_grid_sample_forward_peak_is_a_few_outputs(f32, rng):
+    """Deformable-conv shape: 9 taps of an 8-channel 96x128 feature map."""
+    feat = ad.tensor(rng.standard_normal((8, 96, 128)))
+    grid = ad.tensor(rng.uniform(-2.0, 130.0, size=(9, 96, 128, 2)))
+    peak, (out, _) = forward_peak(lambda: ad.grid_sample_2d(feat, grid))
+    assert peak < 5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"

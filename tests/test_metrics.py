@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvstereo import metrics
 from mvstereo.fusion import PointCloud
 from mvstereo.metrics import (
     GridIndex,
@@ -110,6 +111,25 @@ class TestBatchedRingSearch:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_far_queries_stop_within_a_few_rings(self, monkeypatch):
+        """Queries 100x the cloud's extent outside it along every axis. The
+        stop bound counts their distance outside the box, so they stop a few
+        rings out instead of scanning up to the ring that covers the box."""
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1, 1, size=(3000, 3))
+        signs = rng.choice([-1.0, 1.0], size=(300, 3))
+        queries = signs * 200.0 * rng.uniform(0.5, 1.5, size=(300, 3))
+        grid = GridIndex(points)
+        rings = []
+        shell = metrics._shell
+        monkeypatch.setattr(metrics, "_shell", lambda r, max_key: (rings.append(r),
+                                                                  shell(r, max_key))[1])
+        distances = grid.nearest_distances(queries)
+        np.testing.assert_array_equal(distances, nearest_distances_bruteforce(queries, points))
+        coverage = int(grid.max_key.max()) + 1
+        assert coverage >= 12
+        assert len(rings) <= 6, f"{len(rings)} rings, coverage {coverage}"
 
 
 class TestNonFinite:

@@ -7,6 +7,7 @@ import pytest
 
 from mvstereo import autodiff as ad
 from mvstereo.autodiff import sampling
+from mvstereo.autodiff.conv import _BLOCK_ENTRIES
 
 
 def conv2d_loop(x, k, stride, pad):
@@ -46,6 +47,57 @@ def conv_gradcheck(conv, x, k, stride, pad):
         conv(x, k, stride=stride, padding=pad).shape))
     return ad.gradcheck(lambda x, k: ad.sum_(conv(x, k, stride=stride, padding=pad) * c),
                         [x, k], max_entries=24)
+
+
+def ragged_split(per_index: int) -> int:
+    """Extent of the axis the block iterator splits when one index along it
+    holds ``per_index`` patch entries: three blocks, the last one ragged."""
+    step = _BLOCK_ENTRIES // per_index
+    assert step >= 2, "one index must fit the budget at least twice over"
+    return 2 * step + 1
+
+
+def in_extent(out: int, stride: int, pad: int, k: int = 3) -> int:
+    """Input extent whose convolution has ``out`` samples."""
+    return (out - 1) * stride + k - 2 * pad
+
+
+class TestConvBlocks:
+    """Shapes the im2col budget splits into several blocks, the last ragged,
+    against float64 per-element loops."""
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_conv2d_split_rows(self, f64, rng, stride, pad):
+        c_in, w_out = 16, 24
+        h_out = ragged_split(c_in * 9 * w_out)
+        x = rng.standard_normal((c_in, in_extent(h_out, stride, pad), in_extent(w_out, stride, pad)))
+        k = rng.standard_normal((2, c_in, 3, 3))
+        out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=stride, padding=pad)
+        np.testing.assert_allclose(out.data, conv2d_loop(x, k, stride, pad), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    @pytest.mark.parametrize("split", ["depth", "height"])
+    def test_conv3d(self, f64, rng, split, stride, pad):
+        if split == "depth":  # blocks of whole depth slices
+            c_in, h_out, w_out = 4, 6, 6
+            d_out = ragged_split(c_in * 27 * h_out * w_out)
+        else:  # one depth slice exceeds the budget: blocks of rows within it
+            c_in, d_out, w_out = 16, 2, 20
+            h_out = ragged_split(c_in * 27 * w_out)
+            assert c_in * 27 * h_out * w_out > _BLOCK_ENTRIES
+        x = rng.standard_normal((c_in,) + tuple(in_extent(n, stride, pad)
+                                                 for n in (d_out, h_out, w_out)))
+        k = rng.standard_normal((2, c_in, 3, 3, 3))
+        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=stride, padding=pad)
+        np.testing.assert_allclose(out.data, conv3d_loop(x, k, stride, pad), rtol=1e-12, atol=1e-12)
+
+    def test_kernel_gradient_over_blocks(self, f64, rng):
+        c_in, d_out, w_out = 16, 2, 20
+        h_out = ragged_split(c_in * 27 * w_out)
+        x = ad.tensor(rng.standard_normal((c_in, d_out + 2, h_out + 2, w_out + 2)))
+        k = ad.tensor(rng.standard_normal((2, c_in, 3, 3, 3)), requires_grad=True)
+        assert conv_gradcheck(ad.conv3d, x, k, 1, 0) < 1e-4
+        assert x.grad is None
 
 
 class TestConv2d:
@@ -213,6 +265,50 @@ class TestGridSample:
             grads.append((x.grad, grid.grad))
         for before, after in zip(*grads):
             np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_matches_loop_oracle(self, f64, rng, lead):
+        x = rng.standard_normal((3, 5, 7))
+        grid = rng.uniform(-1.5, 7.5, size=lead + (4, 6, 2))
+        grid[..., 0, :2, :] = [[0.0, 0.0], [6.0, 4.0]]  # corners of the image
+        grid[..., 1, 0, 0] = np.nan
+        grid[..., 1, 1, 1] = np.inf
+        out, mask = ad.grid_sample_2d(ad.tensor(x), ad.tensor(grid))
+        want, want_mask = grid_sample_loop(x, grid)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(mask, want_mask)
+        assert 0 < mask.sum() < mask.size
+
+    @pytest.mark.parametrize("fill", ["outside", "nan"])
+    def test_no_valid_sample_gives_zeros(self, f64, rng, fill):
+        x = rng.standard_normal((2, 4, 5))
+        grid = rng.uniform(5.5, 9.0, size=(2, 3, 4, 2)) * rng.choice([-1, 1], size=(2, 3, 4, 2))
+        if fill == "nan":
+            grid[...] = np.nan
+        out, mask = ad.grid_sample_2d(ad.tensor(x), ad.tensor(grid))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 2, 3, 4)))
+        assert not mask.any()
+
+
+def grid_sample_loop(x, grid):
+    """Bilinear sampling sample by sample and channel by channel; zero and
+    masked outside [0, W-1] x [0, H-1] and at non-finite coordinates."""
+    c, h, w = x.shape
+    lead, plane = grid.shape[:-3], grid.shape[-3:-1]
+    out = np.zeros(lead + (c,) + plane)
+    mask = np.zeros(lead + plane, dtype=bool)
+    for idx in np.ndindex(*lead, *plane):
+        gx, gy = grid[idx]
+        if not (0 <= gx <= w - 1 and 0 <= gy <= h - 1):
+            continue
+        mask[idx] = True
+        x0, y0 = min(int(np.floor(gx)), w - 2), min(int(np.floor(gy)), h - 2)
+        ax, ay = gx - x0, gy - y0
+        for ch in range(c):
+            out[idx[:-2] + (ch,) + idx[-2:]] = (
+                x[ch, y0, x0] * (1 - ax) * (1 - ay) + x[ch, y0, x0 + 1] * ax * (1 - ay)
+                + x[ch, y0 + 1, x0] * (1 - ax) * ay + x[ch, y0 + 1, x0 + 1] * ax * ay)
+    return out, mask
 
 
 def upsample_loop(x, n_spatial):

@@ -292,6 +292,35 @@ class TestCheckpoint:
             load_checkpoint(negative)
         assert str(negative) in str(info.value) and f"'{names[0]}'" in str(info.value)
 
+    def test_failed_save_keeps_previous_checkpoint(self, f32, tmp_path, monkeypatch):
+        """A save that fails midway leaves the previous file loadable and
+        no temporary file behind."""
+        import struct
+        _, model, opt = _tiny_setup(seed=4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model, opt)
+        before = path.read_bytes()
+        calls = []
+        pack = struct.pack
+
+        def failing_pack(fmt, *values):
+            calls.append(fmt)
+            if len(calls) == 7:
+                raise OSError("disk full")
+            return pack(fmt, *values)
+
+        monkeypatch.setattr(struct, "pack", failing_pack)
+        _, other, _ = _tiny_setup(seed=9)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, other)
+        monkeypatch.undo()
+        assert len(calls) == 7
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+        restored = load_checkpoint(path)
+        for name, param in model.named_parameters().items():
+            np.testing.assert_array_equal(restored[name], param.data)
+
     def test_layout_is_little_endian_float32(self, f32, tmp_path):
         import struct
         _, model, _ = _tiny_setup(seed=4)
