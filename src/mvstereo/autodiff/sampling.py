@@ -72,25 +72,33 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     for offset, wgt in zip(offsets[1:], weights):
         blend += np.multiply(gather(offset, corner), wgt, out=corner)
 
+    def image_grad(gc):
+        # One scatter per channel over all four corners: its [H*W] output
+        # stays in cache, where a [C*H*W] one would not.
+        idx = np.add.outer(offsets, i00).ravel()
+        wgt = np.stack(list(blend_weights()))  # (4, ...)
+        scaled = np.empty(wgt.shape, dtype=np.float64)
+        gx_in = np.empty((c, h * w), dtype=x_t.dtype)
+        for ch in range(c):
+            np.multiply(wgt, gc[ch], out=scaled)
+            gx_in[ch] = np.bincount(idx, weights=scaled.ravel(), minlength=h * w)
+        return gx_in.reshape(c, h, w)
+
+    def grid_grad(gc):
+        # The blend is linear in the corners, so each corner is reduced
+        # against g over channels first: a_k = sum_c g_c * v_k,c.
+        gathered = np.empty(gc.shape, dtype=x_t.dtype)
+        a00, a01, a10, a11 = (np.einsum("c...,c...->...", gc, gather(offset, gathered))
+                              for offset in offsets)
+        vf = valid.astype(x_t.dtype)
+        dx = vf * ((1 - wy) * (a01 - a00) + wy * (a11 - a10))
+        dy = vf * ((1 - wx) * (a10 - a00) + wx * (a11 - a01))
+        return np.stack([dx, dy], axis=-1)
+
     def backward(g):
         gc = np.moveaxis(g, batch_nd, 0)  # (C, ...)
-        gx_in = gg = None
-        if x_t.requires_grad:
-            acc = np.zeros(c * h * w, dtype=x_t.dtype)
-            base = (np.arange(c, dtype=np.int64) * (h * w)).reshape(
-                (c,) + (1,) * i00.ndim)
-            for offset, wgt in zip(offsets, blend_weights()):
-                idx = (base + (i00 + offset)).ravel()
-                acc += np.bincount(idx, weights=(gc * wgt).ravel(),
-                                   minlength=c * h * w).astype(x_t.dtype)
-            gx_in = acc.reshape(c, h, w)
-        if g_t.requires_grad:
-            v00, v01, v10, v11 = (gather(offset) for offset in offsets)
-            vf = valid.astype(x_t.dtype)
-            dx = ((1 - wy) * (v01 - v00) + wy * (v11 - v10)) * vf
-            dy = ((1 - wx) * (v10 - v00) + wx * (v11 - v01)) * vf
-            gg = np.stack([(gc * dx).sum(axis=0), (gc * dy).sum(axis=0)], axis=-1)
-        return gx_in, gg
+        return (image_grad(gc) if x_t.requires_grad else None,
+                grid_grad(gc) if g_t.requires_grad else None)
 
     # The caller gets its own mask: backward reads ``valid``, so a caller
     # editing the returned mask in place must not change the gradients.

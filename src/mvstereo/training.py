@@ -128,6 +128,11 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # Two flat buffers per dtype, as large as the largest parameter, hold
+        # every parameter's update temporaries, so a step allocates nothing.
+        size = max((p.size for p in self.params.values()), default=0)
+        self._scratch = {dt: np.empty((2, size), dtype=dt)
+                         for dt in {p.data.dtype for p in self.params.values()}}
 
     def current_lr(self) -> float:
         drops = sum(1 for s in self.decay_steps if self.step_count >= s)
@@ -149,11 +154,21 @@ class Adam:
                 continue
             m = self.m[key]
             v = self.v[key]
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), in that operation order.
+            num, den = (buf[:g.size].reshape(g.shape) for buf in self._scratch[p.data.dtype])
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=num)
             v *= b2
-            v += (1 - b2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1 - b2, out=num)
+            num *= g
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
     def state(self) -> dict[str, np.ndarray]:
         out = {"adam.step": np.array([self.step_count], dtype=np.float64)}

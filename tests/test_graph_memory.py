@@ -102,3 +102,20 @@ def test_grid_sample_forward_peak_is_a_few_outputs(f32, rng):
     grid = ad.tensor(rng.uniform(-2.0, 130.0, size=(9, 96, 128, 2)))
     peak, (out, _) = forward_peak(lambda: ad.grid_sample_2d(feat, grid))
     assert peak < 5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"
+
+
+def test_grid_sample_backward_peak_is_a_few_outputs(f32, rng):
+    """Deformable-conv shape at train resolution, both inputs requiring grad."""
+    feat = ad.tensor(rng.standard_normal((8, 64, 80)), requires_grad=True)
+    taps = (9, 64, 80)
+    grid = ad.tensor(np.stack([rng.uniform(-2.0, 82.0, taps), rng.uniform(-2.0, 66.0, taps)],
+                              axis=-1), requires_grad=True)
+    out, _ = ad.grid_sample_2d(feat, grid)
+    g = rng.standard_normal(out.shape).astype(out.dtype)
+    with traced_without_gc():
+        tracemalloc.reset_peak()
+        baseline = live_bytes()
+        grads = out.node.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    assert all(grad is not None for grad in grads)
+    assert peak < 6 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"

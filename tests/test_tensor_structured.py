@@ -41,6 +41,25 @@ def conv3d_loop(x, k, stride, pad):
     return out
 
 
+def conv_input_grad_loop(g, k, in_shape, stride, pad):
+    """Adjoint of the loops above: each output element's gradient, output
+    channel by output channel, added back over the input window it read."""
+    c_out, c_in, ksz = k.shape[:3]
+    gp = np.zeros((c_in,) + tuple(n + 2 * pad for n in in_shape))
+    for idx in np.ndindex(*g.shape[1:]):
+        window = (slice(None),) + tuple(slice(i * stride, i * stride + ksz) for i in idx)
+        for o in range(c_out):
+            gp[window] += g[(o,) + idx] * k[o]
+    return gp[(slice(None),) + tuple(slice(pad, pad + n) for n in in_shape)]
+
+
+def input_grad(conv, x, k, stride, pad, g):
+    """Input gradient of ``sum(conv(x, k) * g)`` through the engine."""
+    xt = ad.tensor(x, requires_grad=True)
+    ad.sum_(conv(xt, ad.tensor(k), stride=stride, padding=pad) * ad.tensor(g)).backward()
+    return xt.grad
+
+
 def conv_gradcheck(conv, x, k, stride, pad):
     """Finite-difference check of ``sum(conv(x, k) * c)`` for a fixed random c."""
     c = ad.tensor(np.random.default_rng(7).standard_normal(
@@ -98,6 +117,67 @@ class TestConvBlocks:
         k = ad.tensor(rng.standard_normal((2, c_in, 3, 3, 3)), requires_grad=True)
         assert conv_gradcheck(ad.conv3d, x, k, 1, 0) < 1e-4
         assert x.grad is None
+
+
+class TestConvInputGradient:
+    """The input gradient, a forward conv of the output gradient with the
+    flipped, channel-swapped kernel, against float64 per-element loops."""
+
+    @pytest.mark.parametrize("conv,k_taps,c_in,in_shape,stride,pad", [
+        (ad.conv2d, (3, 3), 3, (7, 9), 2, 1),  # zero-dilated gradient
+        (ad.conv2d, (3, 3), 3, (6, 7), 1, 0),
+        (ad.conv2d, (3, 3), 3, (6, 7), 1, 2),  # padding k - 1
+        (ad.conv2d, (3, 3), 3, (5, 6), 1, 3),  # padding k: cropped
+        (ad.conv2d, (3, 3), 2, (4, 5), 1, 4),
+        (ad.conv2d, (3, 3), 3, (5, 7), 2, 3),  # dilated and cropped
+        (ad.conv2d, (3, 3), 1, (6, 7), 1, 1),  # one input channel, as in reg*.c0
+        (ad.conv2d, (5, 5), 2, (9, 8), 1, 2),
+        (ad.conv2d, (1, 1), 3, (5, 7), 2, 0),
+        (ad.conv3d, (3, 3, 3), 3, (5, 7, 5), 2, 1),
+        (ad.conv3d, (3, 3, 3), 3, (4, 5, 6), 1, 0),
+        (ad.conv3d, (3, 3, 3), 3, (4, 5, 6), 1, 2),
+        (ad.conv3d, (3, 3, 3), 3, (3, 4, 5), 1, 3),
+        (ad.conv3d, (3, 3, 3), 2, (3, 5, 5), 2, 3),
+        (ad.conv3d, (3, 3, 3), 1, (4, 5, 6), 1, 1),
+    ])
+    def test_matches_loop_oracle(self, f64, rng, conv, k_taps, c_in, in_shape, stride, pad):
+        x = rng.standard_normal((c_in,) + in_shape)
+        k = rng.standard_normal((3, c_in) + k_taps)
+        g = rng.standard_normal(conv(ad.tensor(x), ad.tensor(k), stride=stride,
+                                     padding=pad).shape)
+        np.testing.assert_allclose(input_grad(conv, x, k, stride, pad, g),
+                                   conv_input_grad_loop(g, k, in_shape, stride, pad),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("split", ["conv2d rows", "conv3d depth", "conv3d rows"])
+    def test_split_into_blocks(self, f64, rng, split):
+        """The gradient's conv has C_out * k^d patch rows and the input's
+        extents as outputs; these shapes split it into several blocks, the
+        last one ragged."""
+        if split == "conv2d rows":
+            conv, c_out, taps, w_in = ad.conv2d, 16, 9, 24
+            in_shape = (ragged_split(c_out * taps * w_in), w_in)
+        elif split == "conv3d depth":
+            conv, c_out, taps = ad.conv3d, 4, 27
+            in_shape = (ragged_split(c_out * taps * 6 * 6), 6, 6)
+        else:  # one depth slice exceeds the budget: blocks of rows within it
+            conv, c_out, taps, w_in = ad.conv3d, 16, 27, 20
+            in_shape = (2, ragged_split(c_out * taps * w_in), w_in)
+            assert c_out * taps * in_shape[1] * w_in > _BLOCK_ENTRIES
+        x = rng.standard_normal((2,) + in_shape)
+        k = rng.standard_normal((c_out, 2) + (3,) * len(in_shape))
+        g = rng.standard_normal((c_out,) + in_shape)
+        np.testing.assert_allclose(input_grad(conv, x, k, 1, 1, g),
+                                   conv_input_grad_loop(g, k, in_shape, 1, 1),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_gradcheck_over_blocks(self, f64, rng):
+        c_out, w_in = 16, 20
+        in_shape = (2, ragged_split(c_out * 27 * w_in), w_in)
+        x = ad.tensor(rng.standard_normal((2,) + in_shape), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((c_out, 2, 3, 3, 3)))
+        assert conv_gradcheck(ad.conv3d, x, k, 1, 1) < 1e-4
+        assert k.grad is None
 
 
 class TestConv2d:
@@ -279,6 +359,27 @@ class TestGridSample:
         np.testing.assert_array_equal(mask, want_mask)
         assert 0 < mask.sum() < mask.size
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_backward_matches_loop_oracle(self, f64, rng, lead):
+        x = rng.standard_normal((3, 5, 7))
+        grid = rng.uniform(-1.5, 7.5, size=lead + (5, 6, 2))
+        grid[..., 0, :, :] = [2.25, 1.5]  # six samples per plane in one cell
+        grid[..., 1, :, :] = np.stack([np.arange(6.0), np.full(6, 3.0)], axis=-1)  # integers
+        grid[..., 2, :4, :] = [[6.0, 2.5], [3.5, 4.0], [6.0, 4.0], [0.0, 0.0]]  # edges, corner
+        grid[..., 3, :, :] = [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 2.0],
+                              [-0.01, 2.0], [3.0, 4.01], [7.0, 1.0]]  # masked lanes
+        g = rng.standard_normal(lead + (3, 5, 6))
+        xt = ad.tensor(x, requires_grad=True)
+        gt = ad.tensor(grid, requires_grad=True)
+        out, mask = ad.grid_sample_2d(xt, gt)
+        ad.sum_(out * ad.tensor(g)).backward()
+        want_x, want_grid = grid_sample_grad_loop(x, grid, g)
+        np.testing.assert_allclose(xt.grad, want_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gt.grad, want_grid, rtol=1e-12, atol=1e-12)
+        assert not mask[..., 3, :].any()
+        np.testing.assert_array_equal(gt.grad[..., 3, :, :], 0.0)
+        assert np.abs(gt.grad[..., :3, :4, :]).min() > 0  # the oracle is not vacuous
+
     @pytest.mark.parametrize("fill", ["outside", "nan"])
     def test_no_valid_sample_gives_zeros(self, f64, rng, fill):
         x = rng.standard_normal((2, 4, 5))
@@ -309,6 +410,33 @@ def grid_sample_loop(x, grid):
                 x[ch, y0, x0] * (1 - ax) * (1 - ay) + x[ch, y0, x0 + 1] * ax * (1 - ay)
                 + x[ch, y0 + 1, x0] * (1 - ax) * ay + x[ch, y0 + 1, x0 + 1] * ax * ay)
     return out, mask
+
+
+def grid_sample_grad_loop(x, grid, g):
+    """Gradients of ``sum(grid_sample_2d(x, grid)[0] * g)`` sample by sample
+    and channel by channel: the image gradient scatters g into the four
+    corners, the grid gradient differentiates the bilinear blend inside the
+    sample's cell (the cell ``grid_sample_loop`` picks). Zero at masked and
+    non-finite lanes."""
+    c, h, w = x.shape
+    gx, gg = np.zeros_like(x), np.zeros_like(grid)
+    for idx in np.ndindex(*grid.shape[:-1]):
+        px, py = grid[idx]
+        if not (0 <= px <= w - 1 and 0 <= py <= h - 1):
+            continue
+        x0, y0 = min(int(np.floor(px)), w - 2), min(int(np.floor(py)), h - 2)
+        ax, ay = px - x0, py - y0
+        for ch in range(c):
+            go = g[idx[:-2] + (ch,) + idx[-2:]]
+            v00, v01 = x[ch, y0, x0], x[ch, y0, x0 + 1]
+            v10, v11 = x[ch, y0 + 1, x0], x[ch, y0 + 1, x0 + 1]
+            gx[ch, y0, x0] += go * (1 - ax) * (1 - ay)
+            gx[ch, y0, x0 + 1] += go * ax * (1 - ay)
+            gx[ch, y0 + 1, x0] += go * (1 - ax) * ay
+            gx[ch, y0 + 1, x0 + 1] += go * ax * ay
+            gg[idx + (0,)] += go * ((1 - ay) * (v01 - v00) + ay * (v11 - v10))
+            gg[idx + (1,)] += go * ((1 - ax) * (v10 - v00) + ax * (v11 - v01))
+    return gx, gg
 
 
 def upsample_loop(x, n_spatial):

@@ -1,5 +1,7 @@
 """Focal loss, optimizer behavior, checkpoints, and short training runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,48 @@ class TestAdam:
         opt2.load_state(state)
         assert opt2.step_count == 3
         np.testing.assert_array_equal(opt2.m["x"], opt.m["x"])
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_in_place_step_matches_formula(self, precision, rng):
+        """Five steps equal the out-of-place formula bit for bit, the
+        parameters and both moments keep their buffers, and a step allocates
+        less than one copy of the largest parameter."""
+        shapes = {"w": (16, 16, 3, 3), "b": (16,), "s": (), "frozen": (5,)}
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        with ad.precision(precision):
+            params = {k: ad.tensor(rng.standard_normal(s), requires_grad=True)
+                      for k, s in shapes.items()}
+            opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps, decay_steps=(3,))
+            ref = {k: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+                   for k, p in params.items()}
+            buffers = [a for k in params for a in (params[k].data, opt.m[k], opt.v[k])]
+            for t in range(1, 6):
+                opt.zero_grad()
+                step_lr = lr * (0.5 if t >= 3 else 1.0)
+                for k, p in params.items():
+                    if k == "frozen":
+                        continue
+                    g = rng.standard_normal(shapes[k]).astype(p.dtype)
+                    p.accumulate_grad(g)
+                    x, m, v = ref[k]
+                    m *= b1
+                    m += (1 - b1) * g
+                    v *= b2
+                    v += (1 - b2) * g * g
+                    x -= step_lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                opt.step()
+                for k, p in params.items():
+                    for got, want in zip((p.data, opt.m[k], opt.v[k]), ref[k]):
+                        assert np.array_equal(got, want), (k, t)
+            after = [a for k in params for a in (params[k].data, opt.m[k], opt.v[k])]
+            assert all(a is b for a, b in zip(buffers, after))
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < params["w"].data.nbytes, f"a step allocated {peak} bytes"
 
 
 def _tiny_setup(seed=0, steps_cfg=None):
