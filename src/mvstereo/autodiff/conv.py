@@ -102,8 +102,13 @@ def _conv(name: str, nd: int, input, kernel, stride: int, padding: int):
     if any(kk != k for kk in ks) or k % 2 == 0:
         raise DimensionError(f"{name} kernel must be {_KERNEL_SHAPE[nd]} with odd size, "
                              f"got {'x'.join(map(str, ks))}")
+    if c_in == 0:
+        raise DimensionError(f"{name} kernel must have at least one input channel, "
+                             f"got {w.shape}")
+    if stride < 1:
+        raise DimensionError(f"{name} stride must be >= 1, got {stride}")
     if padding < 0:
-        raise DimensionError(f"{name} padding must be >= 0")
+        raise DimensionError(f"{name} padding must be >= 0, got {padding}")
     if x.shape[0] != c_in:
         raise DimensionError(f"{name} channel mismatch: input {x.shape} vs kernel {w.shape}")
     s, p = stride, padding

@@ -5,6 +5,15 @@ convolution: it is differentiable w.r.t. both the sampled image and the
 sampling coordinates. Out-of-bounds samples contribute exact zeros and are
 reported through a validity mask instead of being clamped, so border
 pixels cannot fake matches downstream.
+
+Like conv, grid sampling works in cache-sized blocks: a block is at most
+``_BLOCK_ENTRIES`` outputs (channels x samples) within one leading index.
+Forward gathers each corner of a block into one block-sized buffer and
+blends it in place into that block's slice of the output; the grid
+gradient walks the same blocks, reducing each gathered corner against the
+output gradient over channels. The corner indices, blend fractions and
+mask are computed once per call and kept for backward, and the image
+gradient scatters the whole call one channel at a time with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ import numpy as np
 from .tensor import DimensionError, Tensor, as_tensor, make_op
 
 __all__ = ["grid_sample_2d", "upsample_bilinear_2x", "upsample_trilinear_2x"]
+
+_BLOCK_ENTRIES = 1 << 16  # outputs (channels x samples) per gather-and-blend block
 
 
 def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
@@ -43,40 +54,37 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
 
     i00, wx, wy = _lower_corners(gx, gy, h, w, x_t.dtype)
     offsets = (0, 1, w, w + 1)  # flat offsets of corners 00, 01, 10, 11
-
-    # Only i00, wx, wy and the mask are saved for backward; the corner
-    # values and blend weights are gathered or recomputed there. The indices
-    # are in range, so mode="clip" changes no value; it lets ``take`` write
-    # straight into ``out`` instead of through a buffered copy.
-    def gather(offset, out=None):
-        flat = x_t.data.reshape(c, h * w)
-        return np.take(flat, i00 + offset, axis=1, out=out, mode="clip")
-
-    def blend_weights():
-        """The weights of corners 00, 01, 10 and 11, computed one at a time."""
-        vf = valid.astype(x_t.dtype)
-        yield (1 - wx) * (1 - wy) * vf
-        yield wx * (1 - wy) * vf
-        yield (1 - wx) * wy * vf
-        yield wx * wy * vf
-
-    # Blend ((v00*w00 + v01*w01) + v10*w10) + v11*w11 in place, into the
-    # output in its final [..., C, H', W'] layout through a channel-first
-    # view, with one reused buffer for the gathered corner.
     batch_nd = g_t.ndim - 3
-    out = np.empty(g_t.shape[:batch_nd] + (c,) + g_t.shape[batch_nd:-1], dtype=x_t.dtype)
-    blend = np.moveaxis(out, batch_nd, 0)  # (C, ...batch..., H', W')
-    corner = np.empty(blend.shape, dtype=out.dtype)
-    weights = blend_weights()
-    np.multiply(gather(offsets[0], corner), next(weights), out=blend)
-    for offset, wgt in zip(offsets[1:], weights):
-        blend += np.multiply(gather(offset, corner), wgt, out=corner)
+    lead, n = math.prod(g_t.shape[:batch_nd]), math.prod(g_t.shape[batch_nd:-1])
+    # (leading index, sample) views of what backward keeps: only i00, wx,
+    # wy and the mask; corner values and blend weights are gathered or
+    # recomputed there.
+    i00_2d, wx_2d, wy_2d, valid_2d = (a.reshape(lead, n) for a in (i00, wx, wy, valid))
+    flat = x_t.data.reshape(c, h * w)
+
+    # The indices are in range, so mode="clip" changes no value; it lets
+    # ``take`` write straight into ``out`` instead of through a buffered copy.
+    def gather(corners, out):
+        return flat.take(corners, axis=1, out=out, mode="clip")
+
+    # Blend ((v00*w00 + v01*w01) + v10*w10) + v11*w11 in place, block by
+    # block, straight into the output's [C, samples] slices.
+    out = np.empty((lead, c, n), dtype=x_t.dtype)
+    for b, at, corner in _blocks(lead, n, c, x_t.dtype):
+        i00_b, dst = i00_2d[b, at], out[b, :, at]
+        weights = _blend_weights(wx_2d[b, at], wy_2d[b, at], valid_2d[b, at])
+        np.multiply(gather(i00_b + offsets[0], corner), next(weights), out=dst)
+        for offset, w_k in zip(offsets[1:], weights):
+            dst += np.multiply(gather(i00_b + offset, corner), w_k, out=corner)
+    out = out.reshape(g_t.shape[:batch_nd] + (c,) + g_t.shape[batch_nd:-1])
 
     def image_grad(gc):
         # One scatter per channel over all four corners: its [H*W] output
         # stays in cache, where a [C*H*W] one would not.
         idx = np.add.outer(offsets, i00).ravel()
-        wgt = np.stack(list(blend_weights()))  # (4, ...)
+        wgt = np.empty((4,) + i00.shape, dtype=x_t.dtype)
+        for row, w_k in zip(wgt, _blend_weights(wx, wy, valid)):
+            row[...] = w_k
         scaled = np.empty(wgt.shape, dtype=np.float64)
         gx_in = np.empty((c, h * w), dtype=x_t.dtype)
         for ch in range(c):
@@ -84,25 +92,53 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
             gx_in[ch] = np.bincount(idx, weights=scaled.ravel(), minlength=h * w)
         return gx_in.reshape(c, h, w)
 
-    def grid_grad(gc):
+    def grid_grad(g):
         # The blend is linear in the corners, so each corner is reduced
         # against g over channels first: a_k = sum_c g_c * v_k,c.
-        gathered = np.empty(gc.shape, dtype=x_t.dtype)
-        a00, a01, a10, a11 = (np.einsum("c...,c...->...", gc, gather(offset, gathered))
-                              for offset in offsets)
-        vf = valid.astype(x_t.dtype)
-        dx = vf * ((1 - wy) * (a01 - a00) + wy * (a11 - a10))
-        dy = vf * ((1 - wx) * (a10 - a00) + wx * (a11 - a01))
-        return np.stack([dx, dy], axis=-1)
+        g_3d = g.reshape(lead, c, n)
+        grad = np.empty((lead, n, 2), dtype=np.result_type(g, x_t.dtype))
+        for b, at, corner in _blocks(lead, n, c, x_t.dtype):
+            a00, a01, a10, a11 = (
+                np.einsum("cn,cn->n", g_3d[b, :, at], gather(i00_2d[b, at] + offset, corner))
+                for offset in offsets)
+            wx_b, wy_b = wx_2d[b, at], wy_2d[b, at]
+            vf = valid_2d[b, at].astype(x_t.dtype)
+            grad[b, at, 0] = vf * ((1 - wy_b) * (a01 - a00) + wy_b * (a11 - a10))
+            grad[b, at, 1] = vf * ((1 - wx_b) * (a10 - a00) + wx_b * (a11 - a01))
+        return grad.reshape(g_t.shape)
 
     def backward(g):
-        gc = np.moveaxis(g, batch_nd, 0)  # (C, ...)
-        return (image_grad(gc) if x_t.requires_grad else None,
-                grid_grad(gc) if g_t.requires_grad else None)
+        return (image_grad(np.moveaxis(g, batch_nd, 0)) if x_t.requires_grad else None,
+                grid_grad(g) if g_t.requires_grad else None)
 
     # The caller gets its own mask: backward reads ``valid``, so a caller
     # editing the returned mask in place must not change the gradients.
     return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
+
+
+def _blocks(lead: int, n: int, c: int, dtype):
+    """Yield (leading index, sample slice, corner buffer [C, m]) per block
+    of m samples, at most ``_BLOCK_ENTRIES`` outputs (channels x samples;
+    one sample if the channels alone exceed it) within one leading index.
+
+    The buffer is a view of one array allocated when the first block is
+    drawn and reused by every block, so it lives as long as the pass.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(c, 1))
+    buf = np.empty(c * min(step, n), dtype=dtype)
+    for b in range(lead):
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            yield b, slice(lo, lo + m), buf[:c * m].reshape(c, m)
+
+
+def _blend_weights(wx, wy, valid):
+    """The weights of corners 00, 01, 10 and 11, computed one at a time."""
+    vf = valid.astype(wx.dtype)
+    yield (1 - wx) * (1 - wy) * vf
+    yield wx * (1 - wy) * vf
+    yield (1 - wx) * wy * vf
+    yield wx * wy * vf
 
 
 def _lower_corners(gx, gy, h: int, w: int, dtype):

@@ -80,12 +80,17 @@ def deformable_conv2d(feat: Tensor, kernel: Tensor, offsets: Tensor) -> Tensor:
     if offsets.shape[0] != 18:
         raise DimensionError(f"offsets must have 18 channels, got {offsets.shape[0]}")
     _, h, w = feat.shape
+    if offsets.shape[1:] != (h, w):
+        raise DimensionError(f"deformable_conv2d offsets {offsets.shape} do not match "
+                             f"features {feat.shape} in (H, W)")
 
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    taps = [(ky - 1, kx - 1) for ky in range(3) for kx in range(3)]
-    base = np.stack([np.stack([xs + dx, ys + dy], axis=-1) for dy, dx in taps])
-    base_t = ad.tensor(base.astype(feat.dtype))               # (9, H, W, 2)
+    # Tap (ky, kx) at pixel (y, x) reads (x + kx - 1, y + ky - 1): integers,
+    # so building the grid in the feature dtype is exact.
+    shift = np.arange(-1, 2, dtype=feat.dtype)
+    base = np.empty((3, 3, h, w, 2), dtype=feat.dtype)
+    base[..., 0] = shift[:, None, None] + np.arange(w, dtype=feat.dtype)
+    base[..., 1] = shift[:, None, None, None] + np.arange(h, dtype=feat.dtype)[:, None]
+    base_t = ad.tensor(base.reshape(9, h, w, 2))              # (9, H, W, 2)
 
     off = ad.transpose(ad.reshape(offsets, (9, 2, h, w)), (0, 2, 3, 1))
     grid = base_t + off

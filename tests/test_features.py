@@ -82,6 +82,12 @@ class TestDeformableConv:
         np.testing.assert_allclose(out.data[:, 2:-2, 2:-2], ref.data[:, 2:-2, 2:-2],
                                    atol=1e-6)
 
+    def test_offsets_of_another_size_rejected(self, f64, rng):
+        feat = ad.tensor(rng.standard_normal((2, 6, 7)))
+        kernel = ad.tensor(rng.standard_normal((2, 2, 3, 3)))
+        with pytest.raises(ad.DimensionError, match=r"\(18, 6, 8\).*\(2, 6, 7\)"):
+            deformable_conv2d(feat, kernel, ad.tensor(np.zeros((18, 6, 8))))
+
     def test_offset_gradients(self, f64, rng):
         feat = ad.tensor(rng.standard_normal((2, 6, 7)), requires_grad=True)
         kernel = ad.tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)

@@ -278,6 +278,23 @@ class TestConv3d:
         assert (k if operand == "input" else x).grad is None
 
 
+class TestConvArguments:
+    """Bad arguments to either conv give a DimensionError naming the op
+    and the value, not a numpy error from inside the lowering."""
+
+    @pytest.mark.parametrize("conv,nd", [(ad.conv2d, 2), (ad.conv3d, 3)])
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_rejected(self, f64, conv, nd, stride):
+        with pytest.raises(ad.DimensionError, match=rf"{conv.__name__} stride .* got {stride}"):
+            conv(ad.tensor(np.zeros((1,) + (5,) * nd)), ad.tensor(np.zeros((1, 1) + (3,) * nd)),
+                 stride=stride)
+
+    @pytest.mark.parametrize("conv,nd", [(ad.conv2d, 2), (ad.conv3d, 3)])
+    def test_zero_input_channels_rejected(self, f64, conv, nd):
+        with pytest.raises(ad.DimensionError, match=rf"{conv.__name__} .*input channel.*\(2, 0"):
+            conv(ad.tensor(np.zeros((0,) + (5,) * nd)), ad.tensor(np.zeros((2, 0) + (3,) * nd)))
+
+
 class TestGridSample:
     def test_identity_grid_copies_input(self, f64, rng):
         x = rng.standard_normal((3, 5, 6))
@@ -389,6 +406,62 @@ class TestGridSample:
         out, mask = ad.grid_sample_2d(ad.tensor(x), ad.tensor(grid))
         np.testing.assert_array_equal(out.data, np.zeros((2, 2, 3, 4)))
         assert not mask.any()
+
+
+def sample_split(channels: int) -> tuple[int, int]:
+    """(H', W') of a sample plane that grid sampling with ``channels``
+    channels splits into three blocks per leading index, the last ragged."""
+    step = sampling._BLOCK_ENTRIES // channels
+    plane = (5, step // 2)
+    assert 2 * step < plane[0] * plane[1] < 3 * step
+    return plane
+
+
+class TestGridSampleBlocks:
+    """Sample planes the gather budget splits into several blocks per
+    leading index, the last one ragged, against float64 per-sample loops."""
+
+    CASES = [((), 1), ((2,), 16), ((1, 2), 16)]  # (leading axes, channels)
+    IDS = ["0 leading axes, C=1", "1 leading axis", "2 leading axes"]
+
+    def inputs(self, rng, lead, c):
+        x = rng.standard_normal((c, 9, 11))
+        plane = sample_split(c)
+        grid = np.stack([rng.uniform(-0.5, 10.5, lead + plane),
+                         rng.uniform(-0.5, 8.5, lead + plane)], axis=-1)
+        grid[..., 0, :2, 0] = [np.nan, 11.0]  # masked lanes in the first block
+        return x, grid
+
+    @pytest.mark.parametrize("lead,c", CASES, ids=IDS)
+    def test_forward_matches_loop_oracle(self, f64, rng, lead, c):
+        x, grid = self.inputs(rng, lead, c)
+        out, mask = ad.grid_sample_2d(ad.tensor(x), ad.tensor(grid))
+        want, want_mask = grid_sample_loop(x, grid)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(mask, want_mask)
+        assert mask[..., -1, -1].all()  # the ragged block samples inside
+
+    @pytest.mark.parametrize("lead,c", CASES, ids=IDS)
+    def test_backward_matches_loop_oracle(self, f64, rng, lead, c):
+        x, grid = self.inputs(rng, lead, c)
+        g = rng.standard_normal(lead + (c,) + grid.shape[-3:-1])
+        xt = ad.tensor(x, requires_grad=True)
+        gt = ad.tensor(grid, requires_grad=True)
+        out, _ = ad.grid_sample_2d(xt, gt)
+        ad.sum_(out * ad.tensor(g)).backward()
+        want_x, want_grid = grid_sample_grad_loop(x, grid, g)
+        np.testing.assert_allclose(xt.grad, want_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gt.grad, want_grid, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c,plane", [(0, (3, 4)), (2, (0, 4)), (0, (0, 0))])
+    def test_zero_channels_or_samples(self, f64, rng, c, plane):
+        xt = ad.tensor(rng.standard_normal((c, 4, 5)), requires_grad=True)
+        gt = ad.tensor(rng.uniform(0.0, 3.0, (2,) + plane + (2,)), requires_grad=True)
+        out, mask = ad.grid_sample_2d(xt, gt)
+        assert out.shape == (2, c) + plane and mask.shape == (2,) + plane
+        ad.sum_(out).backward()
+        np.testing.assert_array_equal(xt.grad, np.zeros((c, 4, 5)))
+        np.testing.assert_array_equal(gt.grad, np.zeros((2,) + plane + (2,)))
 
 
 def grid_sample_loop(x, grid):
