@@ -102,7 +102,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "n_heads": ("n_heads", int),
         "attention_normalized": ("attention_normalized", _parse_bool),
         "use_pathway": ("use_pathway", _parse_bool),
-        "normalize_correlation": ("normalize_correlation", _parse_bool),
     },
     "cascade": {
         "counts": ("counts", _parse_ints),

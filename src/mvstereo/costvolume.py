@@ -10,44 +10,15 @@ dominate the aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DimensionError, Tensor
 from .cameras import DepthHypotheses, Extrinsics, Intrinsics, build_warp_grid
 
-__all__ = [
-    "PairCorrelation", "CorrelationVolume",
-    "warp_source_features", "pairwise_correlation", "aggregate_correlation",
-]
+__all__ = ["warp_source_features", "pairwise_correlation", "aggregate_correlation"]
 
 _MASK_FILL = 1e9  # pushed below every real correlation before the saliency max
-
-
-@dataclass
-class PairCorrelation:
-    """One source view's correlation volume (H', W', D) plus validity."""
-
-    volume: Tensor
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.volume.shape != self.mask.shape:
-            raise DimensionError(
-                f"correlation {self.volume.shape} and mask {self.mask.shape} must match")
-
-
-@dataclass
-class CorrelationVolume:
-    """Aggregated single-channel volume of shape (H', W', D)."""
-
-    volume: Tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.volume.shape
 
 
 def warp_source_features(src_feat: Tensor, hyps,
@@ -73,48 +44,37 @@ def warp_source_features(src_feat: Tensor, hyps,
 
 
 def pairwise_correlation(ref_feat: Tensor, warped: Tensor,
-                         mask: np.ndarray | None = None,
-                         normalize_channels: bool = False) -> PairCorrelation:
+                         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Inner product over channels: c at (p, d) = <F0(p), warped(d, p)>.
 
-    ``ref_feat`` is (F, H', W'); ``warped`` is (D, F, H', W'). Masked
-    entries are exact zeros. ``normalize_channels`` divides by F (off by
-    default: the plain inner product is the reference behavior).
+    ``ref_feat`` is (F, H', W'); ``warped`` is (D, F, H', W'). Returns the
+    (H', W', D) volume and its validity mask; masked entries are exact zeros.
     """
     if ref_feat.ndim != 3 or warped.ndim != 4 or ref_feat.shape[0] != warped.shape[1]:
         raise DimensionError(
             f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")
-    d = warped.shape[0]
     corr = ad.sum_(ad.reshape(ref_feat, (1,) + ref_feat.shape) * warped, axis=1)
-    if normalize_channels:
-        corr = corr * (1.0 / ref_feat.shape[0])
     corr = ad.transpose(corr, (1, 2, 0))                        # (H', W', D)
     if mask is None:
-        mask = np.ones(corr.shape, dtype=bool)
-    else:
-        mask = np.ascontiguousarray(np.moveaxis(mask, 0, -1))
-        corr = corr * ad.tensor(mask.astype(corr.dtype))
-    return PairCorrelation(volume=corr, mask=mask)
+        return corr, np.ones(corr.shape, dtype=bool)
+    mask = np.ascontiguousarray(np.moveaxis(mask, 0, -1))
+    return corr * ad.tensor(mask.astype(corr.dtype)), mask
 
 
-def aggregate_correlation(pairs: list[PairCorrelation],
-                          ) -> CorrelationVolume:
-    """Saliency-weighted sum over views.
+def aggregate_correlation(volumes: Tensor, masks: np.ndarray) -> Tensor:
+    """Saliency-weighted sum over the source axis of (S, H', W', D) volumes.
 
-    Each view's pixel weight is its maximum correlation over the depth
+    Each source's pixel weight is its maximum correlation over the depth
     axis (invalid entries excluded; a fully masked pixel gets weight 0);
-    the weight multiplies that view's whole correlation column. The max
+    the weight multiplies that source's whole correlation column. The max
     participates in differentiation through its arg element.
     """
-    if not pairs:
+    if volumes.shape != masks.shape or volumes.ndim != 4:
+        raise DimensionError(
+            f"correlations {volumes.shape} and masks {masks.shape} must match as (S, H', W', D)")
+    if volumes.shape[0] == 0:
         raise ContractError("aggregate_correlation needs at least one source view")
-    total = None
-    for pc in pairs:
-        m = pc.mask.astype(pc.volume.dtype)
-        masked = pc.volume * m - _MASK_FILL * (1.0 - m)
-        w, _ = ad.max_with_argmax(masked, axis=2)               # (H', W')
-        any_valid = pc.mask.any(axis=2).astype(pc.volume.dtype)
-        w = w * any_valid
-        term = ad.reshape(w, w.shape + (1,)) * pc.volume
-        total = term if total is None else total + term
-    return CorrelationVolume(volume=total)
+    m = masks.astype(volumes.dtype)
+    w, _ = ad.max_with_argmax(volumes * m - _MASK_FILL * (1.0 - m), axis=3)  # (S, H', W')
+    w = w * masks.any(axis=3).astype(volumes.dtype)
+    return ad.sum_(ad.reshape(w, w.shape + (1,)) * volumes, axis=0)

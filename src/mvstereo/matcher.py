@@ -26,13 +26,13 @@ NORMALIZER_EPS = 1e-6
 
 
 def positional_encode(feat: Tensor) -> Tensor:
-    """Add a 2D sinusoidal encoding to a (C, H, W) feature map.
+    """Add a 2D sinusoidal encoding to (..., C, H, W) feature maps.
 
     Channels split into four groups: sin/cos of x and sin/cos of y at
     geometrically spaced frequencies (base 10000). Depends only on pixel
     position and channel count, so the same map is added to every view.
     """
-    c, h, w = feat.shape
+    c, h, w = feat.shape[-3:]
     if c % 4:
         raise DimensionError(f"positional encoding needs channels divisible by 4, got {c}")
     n_freq = c // 4
@@ -51,36 +51,47 @@ def feature_map(x: Tensor) -> Tensor:
     return ad.elu(x) + 1.0
 
 
+def _swap(ndim: int, a: int, b: int) -> tuple[int, ...]:
+    """Axis permutation exchanging axes ``a`` and ``b``."""
+    axes = list(range(ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return tuple(axes)
+
+
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    l, f = x.shape
+    """(..., L, F) -> (..., H, L, F/H)."""
+    *lead, l, f = x.shape
     if f % n_heads:
         raise DimensionError(f"channels {f} not divisible by {n_heads} heads")
-    return ad.transpose(ad.reshape(x, (l, n_heads, f // n_heads)), (1, 0, 2))
+    x = ad.reshape(x, (*lead, l, n_heads, f // n_heads))
+    return ad.transpose(x, _swap(x.ndim, -3, -2))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    h, l, d = x.shape
-    return ad.reshape(ad.transpose(x, (1, 0, 2)), (l, h * d))
+    """(..., H, L, d) -> (..., L, H * d)."""
+    *lead, h, l, d = x.shape
+    return ad.reshape(ad.transpose(x, _swap(x.ndim, -3, -2)), (*lead, l, h * d))
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1,
                      normalized: bool = True, eps: float = NORMALIZER_EPS) -> Tensor:
     """Kernelized attention in the factored O(L * F^2) order.
 
-    q is (L, F); k and v are (S, F) with equal length. With Phi = elu + 1:
+    q is (..., L, F); k and v are (..., S, F) with equal shapes, and the
+    leading axes broadcast. With Phi = elu + 1:
     out = Phi(q) (Phi(k)^T v) / (Phi(q) (Phi(k)^T 1) + eps). The
     normalizer can be disabled to match the bare factored product.
     """
     if k.shape != v.shape:
         raise DimensionError(f"keys {k.shape} and values {v.shape} must match")
-    fq = _split_heads(feature_map(q), n_heads)       # (H, L, d)
-    fk = _split_heads(feature_map(k), n_heads)       # (H, S, d)
+    fq = _split_heads(feature_map(q), n_heads)                    # (..., H, L, d)
+    fk = _split_heads(feature_map(k), n_heads)                    # (..., H, S, d)
     vv = _split_heads(v, n_heads)
-    kv = ad.matmul(ad.transpose(fk, (0, 2, 1)), vv)  # (H, d, d)
-    num = ad.matmul(fq, kv)                          # (H, L, d)
+    kv = ad.matmul(ad.transpose(fk, _swap(fk.ndim, -2, -1)), vv)  # (..., H, d, d)
+    num = ad.matmul(fq, kv)                                       # (..., H, L, d)
     if normalized:
-        ksum = ad.sum_(fk, axis=1, keepdims=True)    # (H, 1, d)
-        den = ad.sum_(fq * ksum, axis=2, keepdims=True) + eps
+        ksum = ad.sum_(fk, axis=-2, keepdims=True)                # (..., H, 1, d)
+        den = ad.sum_(fq * ksum, axis=-1, keepdims=True) + eps
         num = num / den
     return _merge_heads(num)
 
@@ -150,11 +161,12 @@ class AttentionUnit(Module):
         self.merge2 = Linear(rng, 2 * channels, channels, scale=0.01)
 
     def update(self, x: Tensor, source: Tensor) -> Tensor:
+        """x is (..., L, C); source is (..., S, C) with broadcasting leading axes."""
         xn = ad.layer_norm(x, axis=-1)
         sn = xn if source is x else ad.layer_norm(source, axis=-1)
         message = linear_attention(self.q_proj(xn), self.k_proj(sn), self.v_proj(sn),
                                    n_heads=self.n_heads, normalized=self.normalized)
-        h = ad.concat([x, message], axis=1)
+        h = ad.concat([x, message], axis=-1)
         return x + self.merge2(ad.relu(self.merge1(h)))
 
 
@@ -167,13 +179,18 @@ class AttentionBlock(Module):
         self.intra = AttentionUnit(rng, channels, n_heads, normalized)
         self.inter = AttentionUnit(rng, channels, n_heads, normalized)
 
-    def __call__(self, ref: Tensor, sources: list[Tensor]) -> tuple[Tensor, list[Tensor]]:
-        if len(sources) < 1:
-            raise ContractError("attention block needs at least two views (one source)")
-        ref_out = self.intra.update(ref, ref)
-        sources = [self.intra.update(s, s) for s in sources]
-        sources = [self.inter.update(s, ref_out) for s in sources]
-        return ref_out, sources
+    def __call__(self, tokens: Tensor) -> Tensor:
+        """(V, L, C) tokens, row 0 the reference, to the same shape.
+
+        One intra update runs over all views at once; one inter update runs
+        every source against the post-intra reference.
+        """
+        if tokens.ndim != 3 or tokens.shape[0] < 2:
+            raise ContractError("attention block needs (V, L, C) tokens with at least "
+                                f"two views (one source), got {tokens.shape}")
+        x = self.intra.update(tokens, tokens)
+        ref = x[:1]
+        return ad.concat([ref, self.inter.update(x[1:], ref)], axis=0)
 
 
 class MatchingTransformer(Module):
@@ -191,13 +208,17 @@ class MatchingTransformer(Module):
 
     @staticmethod
     def flatten(feat: Tensor) -> Tensor:
-        c, h, w = feat.shape
-        return ad.transpose(ad.reshape(feat, (c, h * w)), (1, 0))
+        """(..., C, H, W) feature maps to (..., H*W, C) tokens."""
+        *lead, c, h, w = feat.shape
+        tokens = ad.reshape(feat, (*lead, c, h * w))
+        return ad.transpose(tokens, _swap(tokens.ndim, -2, -1))
 
     @staticmethod
     def unflatten(tokens: Tensor, height: int, width: int) -> Tensor:
-        l, c = tokens.shape
-        return ad.reshape(ad.transpose(tokens, (1, 0)), (c, height, width))
+        """(..., H*W, C) tokens back to (..., C, H, W) maps."""
+        *lead, l, c = tokens.shape
+        return ad.reshape(ad.transpose(tokens, _swap(tokens.ndim, -2, -1)),
+                          (*lead, c, height, width))
 
     def __call__(self, feats: list[Tensor]) -> list[Tensor]:
         """First entry is the reference view; all maps share (C, H, W)."""
@@ -206,8 +227,8 @@ class MatchingTransformer(Module):
             if f.shape != shape:
                 raise DimensionError(f"all views must share shape {shape}, got {f.shape}")
         c, h, w = shape
-        tokens = [self.flatten(positional_encode(f)) for f in feats]
-        ref, sources = tokens[0], tokens[1:]
+        x = self.flatten(positional_encode(ad.stack(feats, axis=0)))
         for i in range(self.n_blocks):
-            ref, sources = getattr(self, f"block{i}")(ref, sources)
-        return [self.unflatten(t, h, w) for t in [ref] + sources]
+            x = getattr(self, f"block{i}")(x)
+        out = self.unflatten(x, h, w)
+        return [out[v] for v in range(len(feats))]

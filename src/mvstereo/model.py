@@ -60,7 +60,6 @@ class ModelConfig:
     n_heads: int = 8
     attention_normalized: bool = True
     use_pathway: bool = True
-    normalize_correlation: bool = False
 
 
 @dataclass
@@ -114,10 +113,9 @@ class StereoModel(Module):
             warped, mask = warp_source_features(
                 feat, hyps, ref_intr, ref_view.extrinsics,
                 scale_camera(view.intrinsics, scale), view.extrinsics)
-            pairs.append(pairwise_correlation(
-                feats[0], warped, mask,
-                normalize_channels=self.config.normalize_correlation))
-        logits = regularizer(aggregate_correlation(pairs))
+            pairs.append(pairwise_correlation(feats[0], warped, mask))
+        volumes, masks = zip(*pairs)
+        logits = regularizer(aggregate_correlation(ad.stack(volumes), np.stack(masks)))
         return probability_volume(logits)
 
     def __call__(self, views: list[CameraView]) -> list[StageOutput]:

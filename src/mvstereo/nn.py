@@ -21,6 +21,12 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, gain: float = 
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _some(names: set[str], limit: int = 3) -> str:
+    """Up to ``limit`` sorted names, then an ellipsis if more remain."""
+    shown = sorted(names)[:limit] + (["..."] if len(names) > limit else [])
+    return "[" + ", ".join(shown) + "]"
+
+
 class Module:
     """Base class tracking parameters and child modules by attribute name."""
 
@@ -55,7 +61,9 @@ class Module:
         missing = set(params) - set(state)
         extra = set(state) - set(params)
         if missing or extra:
-            raise KeyError(f"parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise ad.ContractError(
+                f"checkpoint does not match the model: {len(missing)} missing "
+                f"{_some(missing)}, {len(extra)} unexpected {_some(extra)}")
         for name, p in params.items():
             arr = np.asarray(state[name], dtype=p.dtype)
             if arr.shape != p.shape:

@@ -9,7 +9,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
 from .cameras import DepthHypotheses
-from .costvolume import CorrelationVolume
 from .nn import Module, kaiming_uniform, parameter
 
 __all__ = [
@@ -87,14 +86,13 @@ class VolumeRegularizer(Module):
             self.p1 = Conv3dLayer(rng, 8, 8)
             self.out = Conv3dLayer(rng, 8, 1, act=False)
 
-    def __call__(self, volume: CorrelationVolume | Tensor) -> Tensor:
+    def __call__(self, volume: Tensor) -> Tensor:
         """Correlation volume (H', W', D) to logits of the same shape."""
-        vol = volume.volume if isinstance(volume, CorrelationVolume) else vol_check(volume)
-        h, w, d = vol.shape
+        h, w, d = vol_check(volume).shape
         # Whiten the raw correlations: their scale grows with feature norms
         # (saliency weighting squares it) and would otherwise saturate the
         # depth softmax at initialization.
-        vol = ad.reshape(ad.layer_norm(ad.reshape(vol, (1, h * w * d)), axis=1), (h, w, d))
+        vol = ad.reshape(ad.layer_norm(ad.reshape(volume, (1, h * w * d)), axis=1), (h, w, d))
         x = ad.reshape(ad.transpose(vol, (2, 0, 1)), (1, d, h, w))
         if self.use_unet:
             f0 = self.c0(x)

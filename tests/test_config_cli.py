@@ -59,7 +59,8 @@ use_pathway = false
         cfg = load_config(text=text)
         assert cfg.model.cascade.counts == (16, 8, 4)
 
-    @pytest.mark.parametrize("section, key", [("cascade", "weights"), ("train", "n_scenes")])
+    @pytest.mark.parametrize("section, key", [("cascade", "weights"), ("train", "n_scenes"),
+                                              ("model", "normalize_correlation")])
     def test_removed_keys_rejected_with_name(self, section, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load_config(text=f"[{section}]\n{key} = 1\n")
@@ -170,6 +171,21 @@ class TestCliPipeline:
         conf = read_pfm(tmp_path / "pred" / "view_0000" / "conf_stage3.pfm")
         assert depth.shape == (16, 16) and conf.shape == (16, 16)
         assert (depth > 0).all() and (conf >= 0).all() and (conf <= 1).all()
+
+    def test_mismatched_checkpoint_is_named_on_stderr(self, small_scene_dir, tmp_path):
+        """A checkpoint saved with one block, read by a two-block config."""
+        from mvstereo.model import StereoModel
+        from mvstereo.training import save_checkpoint
+        cfg = small_scene_dir / "small.cfg"
+        save_checkpoint(tmp_path / "ckpt.bin", StereoModel(load_config(cfg).model))
+        two_blocks = tmp_path / "two_blocks.cfg"
+        two_blocks.write_text(cfg.read_text().replace("n_blocks = 1", "n_blocks = 2"))
+        result = run_cli("infer", "--scene", str(small_scene_dir / "scenes" / "scene_0000"),
+                         "--out", str(tmp_path / "pred"), "--ref", "0",
+                         "--config", str(two_blocks), "--checkpoint", str(tmp_path / "ckpt.bin"))
+        assert result.returncode == 1
+        assert "does not match" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
 
     def test_fuse_and_cloud_eval_on_gt_depths(self, small_scene_dir, tmp_path):
         """Writing GT depths as predictions, fuse + eval produce a near-zero

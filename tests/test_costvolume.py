@@ -7,7 +7,6 @@ from mvstereo import autodiff as ad
 from mvstereo.autodiff import ContractError
 from mvstereo.cameras import Extrinsics, Intrinsics, sample_hypotheses_initial
 from mvstereo.costvolume import (
-    PairCorrelation,
     aggregate_correlation,
     pairwise_correlation,
     warp_source_features,
@@ -45,33 +44,27 @@ class TestPairwiseCorrelation:
     def test_self_correlation_is_squared_norm(self, f64, rng):
         ref = ad.tensor(rng.standard_normal((6, 4, 5)))
         warped = ad.stack([ref, ref, ref], axis=0)
-        pc = pairwise_correlation(ref, warped)
+        volume, _ = pairwise_correlation(ref, warped)
         norms = (ref.data ** 2).sum(axis=0)
         for d in range(3):
-            np.testing.assert_allclose(pc.volume.data[..., d], norms, rtol=1e-12)
+            np.testing.assert_allclose(volume.data[..., d], norms, rtol=1e-12)
 
     def test_orthogonal_features_give_zero(self, f64):
         ref = np.zeros((4, 2, 2))
         ref[0] = 1.0
         warped = np.zeros((2, 4, 2, 2))
         warped[:, 1] = 1.0
-        pc = pairwise_correlation(ad.tensor(ref), ad.tensor(warped))
-        np.testing.assert_array_equal(pc.volume.data, np.zeros((2, 2, 2)))
+        volume, _ = pairwise_correlation(ad.tensor(ref), ad.tensor(warped))
+        np.testing.assert_array_equal(volume.data, np.zeros((2, 2, 2)))
 
     def test_matches_loop_oracle(self, f32, rng):
         ref = rng.standard_normal((5, 4, 6)).astype(np.float32)
         warped = rng.standard_normal((3, 5, 4, 6)).astype(np.float32)
         mask = rng.random((3, 4, 6)) > 0.25
-        pc = pairwise_correlation(ad.tensor(ref), ad.tensor(warped), mask)
+        volume, out_mask = pairwise_correlation(ad.tensor(ref), ad.tensor(warped), mask)
         ref_out = correlation_loop(ref, warped, mask)
-        assert np.abs(pc.volume.data - ref_out).max() <= 1e-6
-
-    def test_channel_normalization_switch(self, f64, rng):
-        ref = ad.tensor(rng.standard_normal((8, 3, 3)))
-        warped = ad.tensor(rng.standard_normal((2, 8, 3, 3)))
-        plain = pairwise_correlation(ref, warped).volume.data
-        scaled = pairwise_correlation(ref, warped, normalize_channels=True).volume.data
-        np.testing.assert_allclose(scaled, plain / 8.0, rtol=1e-12)
+        assert np.abs(volume.data - ref_out).max() <= 1e-6
+        np.testing.assert_array_equal(out_mask, np.moveaxis(mask, 0, -1))
 
     def test_channel_mismatch_rejected(self, f64, rng):
         with pytest.raises(ad.DimensionError, match="channel"):
@@ -79,47 +72,81 @@ class TestPairwiseCorrelation:
                                  ad.tensor(rng.random((2, 5, 3, 3))))
 
 
+def aggregate_per_source(volumes, masks):
+    """The saliency aggregation as a loop over sources, one op chain each."""
+    total = None
+    for volume, mask in zip(volumes, masks):
+        m = mask.astype(volume.dtype)
+        w, _ = ad.max_with_argmax(volume * m - 1e9 * (1.0 - m), axis=2)
+        w = w * mask.any(axis=2).astype(volume.dtype)
+        term = ad.reshape(w, w.shape + (1,)) * volume
+        total = term if total is None else total + term
+    return total
+
+
 class TestAggregation:
     def test_single_view_unit_correlation(self, f64):
-        vol = ad.tensor(np.ones((3, 4, 2)))
-        out = aggregate_correlation([PairCorrelation(vol, np.ones((3, 4, 2), bool))])
-        np.testing.assert_allclose(out.volume.data, np.ones((3, 4, 2)))
+        vol = ad.tensor(np.ones((1, 3, 4, 2)))
+        out = aggregate_correlation(vol, np.ones((1, 3, 4, 2), bool))
+        np.testing.assert_allclose(out.data, np.ones((3, 4, 2)))
 
     def test_two_view_worked_example(self, f64):
         """w1 = 0.8, w2 = 0.6 -> C = 0.8*[0.2,0.8] + 0.6*[0.6,0.4]."""
-        c1 = ad.tensor(np.array([0.2, 0.8]).reshape(1, 1, 2))
-        c2 = ad.tensor(np.array([0.6, 0.4]).reshape(1, 1, 2))
-        ones = np.ones((1, 1, 2), bool)
-        out = aggregate_correlation([PairCorrelation(c1, ones), PairCorrelation(c2, ones)])
-        np.testing.assert_allclose(out.volume.data[0, 0], [0.52, 0.88], rtol=1e-12)
+        vols = ad.tensor(np.array([[0.2, 0.8], [0.6, 0.4]]).reshape(2, 1, 1, 2))
+        out = aggregate_correlation(vols, np.ones((2, 1, 1, 2), bool))
+        np.testing.assert_allclose(out.data[0, 0], [0.52, 0.88], rtol=1e-12)
 
     def test_fully_masked_view_contributes_zero(self, f64, rng):
-        live = PairCorrelation(ad.tensor(rng.random((2, 2, 3))), np.ones((2, 2, 3), bool))
-        dead = PairCorrelation(ad.tensor(np.zeros((2, 2, 3))), np.zeros((2, 2, 3), bool))
-        with_dead = aggregate_correlation([live, dead]).volume.data
-        alone = aggregate_correlation([live]).volume.data
+        live = rng.random((1, 2, 2, 3))
+        both = np.concatenate([live, np.zeros((1, 2, 2, 3))])
+        masks = np.concatenate([np.ones((1, 2, 2, 3), bool), np.zeros((1, 2, 2, 3), bool)])
+        with_dead = aggregate_correlation(ad.tensor(both), masks).data
+        alone = aggregate_correlation(ad.tensor(live), masks[:1]).data
         np.testing.assert_allclose(with_dead, alone, atol=1e-12)
 
     def test_matches_loop_oracle(self, f32, rng):
         vols = [rng.standard_normal((4, 5, 6)).astype(np.float32) for _ in range(3)]
         masks = [rng.random((4, 5, 6)) > 0.2 for _ in range(3)]
-        pairs = [PairCorrelation(ad.tensor(np.where(m, v, 0.0)), m)
-                 for v, m in zip(vols, masks)]
-        out = aggregate_correlation(pairs).volume.data
+        stacked = np.stack([np.where(m, v, 0.0) for v, m in zip(vols, masks)])
+        out = aggregate_correlation(ad.tensor(stacked), np.stack(masks)).data
         expected = aggregate_loop([np.where(m, v, 0.0) for v, m in zip(vols, masks)], masks)
         assert np.abs(out - expected).max() <= 1e-6
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_equals_per_source_loop_forward_and_backward(self, rng, dtype):
+        """Bitwise, with the last source masked everywhere."""
+        with ad.precision(dtype):
+            masks = rng.random((4, 5, 6, 7)) > 0.3
+            masks[-1] = False
+            data = np.where(masks, rng.standard_normal(masks.shape), 0.0)
+            coef = ad.tensor(rng.standard_normal((5, 6, 7)))
+            stacked = ad.tensor(data, requires_grad=True)
+            out = aggregate_correlation(stacked, masks)
+            ad.sum_(out * coef).backward()
+            views = [ad.tensor(v, requires_grad=True) for v in data]
+            expected = aggregate_per_source(views, masks)
+            ad.sum_(expected * coef).backward()
+            assert np.array_equal(out.data, expected.data)
+            assert np.array_equal(stacked.grad, np.stack([v.grad for v in views]))
+            assert not stacked.grad[-1].any()
+
+    @pytest.mark.parametrize("mask_shape", [(2, 3, 4, 5), (3, 3, 4, 4), (3, 4, 5)])
+    def test_shape_mismatch_rejected(self, f64, rng, mask_shape):
+        with pytest.raises(ad.DimensionError, match="must match"):
+            aggregate_correlation(ad.tensor(rng.random((3, 3, 4, 5))),
+                                  np.ones(mask_shape, bool))
+
     def test_empty_view_set_rejected(self, f64):
         with pytest.raises(ContractError):
-            aggregate_correlation([])
+            aggregate_correlation(ad.tensor(np.zeros((0, 2, 2, 3))),
+                                  np.zeros((0, 2, 2, 3), bool))
 
     def test_max_gradient_routes_through_argmax(self, f64, rng):
-        vol = ad.tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
-        mask = np.ones((2, 2, 4), bool)
+        vol = ad.tensor(rng.standard_normal((1, 2, 2, 4)), requires_grad=True)
+        mask = np.ones((1, 2, 2, 4), bool)
         c = ad.tensor(rng.standard_normal((2, 2, 4)))
         worst = ad.gradcheck(
-            lambda v: ad.sum_(aggregate_correlation(
-                [PairCorrelation(v, mask)]).volume * c),
+            lambda v: ad.sum_(aggregate_correlation(v, mask) * c),
             [vol], max_entries=None)
         assert worst < 1e-4
 
@@ -193,7 +220,8 @@ def matching_hit_rate(scene, depth_count: int = 32) -> tuple[float, int]:
                 ad.tensor(feat), hyps, ref.intrinsics, ref.extrinsics,
                 view.intrinsics, view.extrinsics)
             pairs.append(pairwise_correlation(ad.tensor(feats[0]), warped, mask))
-        volume = aggregate_correlation(pairs).volume.data
+        volumes, masks = zip(*pairs)
+        volume = aggregate_correlation(ad.stack(volumes), np.stack(masks)).data
     winner = volume.argmax(axis=2)
     target = np.abs(hyps.values[None, None, :] - ref.depth[..., None]).argmin(axis=2)
     gy, gx = np.gradient(ref.image.mean(axis=0))

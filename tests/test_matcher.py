@@ -113,9 +113,9 @@ class TestLinearAttention:
 class TestAttentionBlock:
     def test_reference_bitwise_unchanged_by_inter_step(self, f64, rng):
         block = AttentionBlock(rng, channels=16, n_heads=4, normalized=True)
-        ref = ad.tensor(rng.standard_normal((20, 16)))
-        sources = [ad.tensor(rng.standard_normal((20, 16))) for _ in range(3)]
-        ref_out, _ = block(ref, sources)
+        tokens = ad.tensor(rng.standard_normal((4, 20, 16)))
+        ref = tokens[0]
+        ref_out = block(tokens)[0]
         post_intra = block.intra.update(ref, ref)
         assert np.array_equal(ref_out.data, post_intra.data)
 
@@ -124,11 +124,8 @@ class TestAttentionBlock:
         for unit in (block.intra, block.inter):
             unit.merge2.weight.data[...] = 0.0
             unit.merge2.bias.data[...] = 0.0
-        ref = ad.tensor(rng.standard_normal((10, 8)))
-        sources = [ad.tensor(rng.standard_normal((10, 8)))]
-        ref_out, src_out = block(ref, sources)
-        np.testing.assert_array_equal(ref_out.data, ref.data)
-        np.testing.assert_array_equal(src_out[0].data, sources[0].data)
+        tokens = ad.tensor(rng.standard_normal((2, 10, 8)))
+        np.testing.assert_array_equal(block(tokens).data, tokens.data)
 
     def test_key_value_permutation_invariance(self, f64, rng):
         """Attention sums over keys, so reordering reference rows is invisible."""
@@ -143,7 +140,7 @@ class TestAttentionBlock:
     def test_requires_a_source_view(self, f64, rng):
         block = AttentionBlock(rng, channels=8, n_heads=2, normalized=True)
         with pytest.raises(ad.ContractError, match="two views"):
-            block(ad.tensor(rng.standard_normal((4, 8))), [])
+            block(ad.tensor(rng.standard_normal((1, 4, 8))))
 
     def test_intra_weights_shared_across_views(self, f64, rng):
         """Relabeling reference vs source does not change intra-attention."""
@@ -152,6 +149,20 @@ class TestAttentionBlock:
         as_ref = block.intra.update(features, features)
         as_src = block.intra.update(features, features)
         np.testing.assert_array_equal(as_ref.data, as_src.data)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_views", [2, 3, 5])
+    def test_stacked_views_equal_per_view_loop(self, rng, dtype, n_views):
+        """One batched block equals intra per view, then inter per source."""
+        with ad.precision(dtype):
+            block = AttentionBlock(rng, channels=16, n_heads=4, normalized=True)
+            views = [ad.tensor(rng.standard_normal((12, 16))) for _ in range(n_views)]
+            out = block(ad.stack(views, axis=0))
+            intra = [block.intra.update(v, v) for v in views]
+            loop = [intra[0]] + [block.inter.update(s, intra[0]) for s in intra[1:]]
+            assert out.dtype == np.dtype(dtype)
+            for v in range(n_views):
+                assert np.array_equal(out.data[v], loop[v].data)
 
 
 class TestTransformer:
@@ -179,13 +190,13 @@ class TestTransformer:
         """The reference tokens out of every block equal the intra-only path."""
         net = MatchingTransformer(rng, channels=8, n_blocks=4, n_heads=2)
         feats = [ad.tensor(rng.standard_normal((8, 3, 4))) for _ in range(3)]
-        tokens = [MatchingTransformer.flatten(positional_encode(f)) for f in feats]
-        ref, sources = tokens[0], tokens[1:]
+        tokens = MatchingTransformer.flatten(positional_encode(ad.stack(feats)))
         for i in range(net.n_blocks):
             block = getattr(net, f"block{i}")
+            ref = tokens[0]
             ref_expected = block.intra.update(ref, ref)
-            ref, sources = block(ref, sources)
-            assert np.array_equal(ref.data, ref_expected.data)
+            tokens = block(tokens)
+            assert np.array_equal(tokens.data[0], ref_expected.data)
 
     def test_gradcheck_small_feature_map(self, f64, rng):
         net = MatchingTransformer(rng, channels=8, n_blocks=1, n_heads=2)

@@ -5,7 +5,6 @@ import pytest
 
 from mvstereo import autodiff as ad
 from mvstereo.cameras import sample_hypotheses_initial
-from mvstereo.costvolume import CorrelationVolume
 from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
 from mvstereo.regularizer import (
     DepthEstimate,
@@ -19,23 +18,23 @@ from mvstereo.scene import SceneSpec, render_synthetic_scene
 class TestRegularizer:
     def test_output_shape_equals_input_shape(self, f32, rng):
         reg = VolumeRegularizer(rng, depth_count=8)
-        vol = CorrelationVolume(ad.tensor(rng.random((12, 10, 8))))
+        vol = ad.tensor(rng.random((12, 10, 8)))
         assert reg(vol).shape == (12, 10, 8)
 
     def test_deterministic(self, f32, rng):
         reg = VolumeRegularizer(rng, depth_count=8)
-        vol = CorrelationVolume(ad.tensor(rng.random((8, 8, 8))))
+        vol = ad.tensor(rng.random((8, 8, 8)))
         np.testing.assert_array_equal(reg(vol).data, reg(vol).data)
 
     def test_small_depth_count_uses_plain_stack(self, f32, rng):
         reg = VolumeRegularizer(rng, depth_count=3)
         assert not reg.use_unet
-        vol = CorrelationVolume(ad.tensor(rng.random((6, 7, 3))))
+        vol = ad.tensor(rng.random((6, 7, 3)))
         assert reg(vol).shape == (6, 7, 3)
 
     def test_odd_extents_survive_unet(self, f32, rng):
         reg = VolumeRegularizer(rng, depth_count=5)
-        vol = CorrelationVolume(ad.tensor(rng.random((7, 9, 5))))
+        vol = ad.tensor(rng.random((7, 9, 5)))
         assert reg(vol).shape == (7, 9, 5)
 
     def test_gradients(self, f64, rng):
@@ -43,7 +42,7 @@ class TestRegularizer:
         vol = ad.tensor(rng.random((4, 5, 4)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((4, 5, 4)))
         worst = ad.gradcheck(
-            lambda v: ad.sum_(reg(CorrelationVolume(v)) * c), [vol], max_entries=8)
+            lambda v: ad.sum_(reg(v) * c), [vol], max_entries=8)
         assert worst < 1e-4
 
 

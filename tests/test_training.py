@@ -282,6 +282,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(pa.data, pb.data)
         assert opt2.step_count == opt.step_count
 
+    def test_mismatched_model_is_one_short_error(self, f32, tmp_path):
+        """An n_blocks=1 state into the default model: counts plus a few names."""
+        _, model, _ = _tiny_setup(seed=4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model)
+        default = StereoModel(ModelConfig(cascade=CascadeConfig(counts=(8, 6, 4))))
+        with pytest.raises(ad.ContractError, match="does not match") as info:
+            restore(default, load_checkpoint(path))
+        message = str(info.value)
+        assert "42 missing" in message and "0 unexpected" in message
+        assert "matcher.block1." in message and "\n" not in message
+        assert len(message) < 300
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\0" * 16)
