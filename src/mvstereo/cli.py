@@ -200,16 +200,12 @@ def cmd_fuse(args) -> int:
 def _reference_cloud(views):
     import numpy as np
     from .cameras import backproject_pixels
-    from .fusion import PointCloud
+    from .fusion import PointCloud, pixel_grid
     pts = []
     for view in views:
-        h, w = view.depth.shape
-        ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
         valid = view.depth > 0
-        xy = np.stack([xs, ys], axis=-1)[valid]
-        d = view.depth[valid]
-        pts.append(backproject_pixels(view.intrinsics, view.extrinsics, xy, d))
+        xy = pixel_grid(*view.depth.shape)[valid]
+        pts.append(backproject_pixels(view.intrinsics, view.extrinsics, xy, view.depth[valid]))
     return PointCloud(points=np.concatenate(pts))
 
 

@@ -84,17 +84,25 @@ def read_ppm(path) -> np.ndarray:
 
 # -- PLY: ASCII point clouds ---------------------------------------------------
 
+_PLY_ROW = "%.9g %.9g %.9g %d %d %d\n"
+_PLY_ROWS = 1 << 9  # vertex rows formatted per write, to bound the text held at once
+
+
 def write_ply(path, cloud: PointCloud) -> None:
     """ASCII PLY with float32 xyz and uchar rgb per vertex."""
     colors = np.clip(np.rint(cloud.colors * 255.0), 0, 255).astype(np.uint8)
+    # float32 -> float64 is exact, so "%.9g" prints the text that formatting
+    # each float32 coordinate would; 9 digits round-trip a float32.
+    rows = np.hstack([cloud.points.astype(np.float32).astype(np.float64), colors])
     with open(path, "w", encoding="ascii") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(cloud)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         fh.write("end_header\n")
-        for p, c in zip(cloud.points.astype(np.float32), colors):
-            fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {c[0]} {c[1]} {c[2]}\n")
+        for lo in range(0, len(rows), _PLY_ROWS):
+            chunk = rows[lo:lo + _PLY_ROWS]
+            fh.write(_PLY_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_ply(path) -> PointCloud:
@@ -114,16 +122,20 @@ def read_ply(path) -> PointCloud:
                 count = int(field)
             if line.strip() == "end_header":
                 break
-        rows = []
-        for i in range(count):
-            line = fh.readline()
-            if not line.endswith("\n"):
-                raise ContractError(f"{path}: truncated PLY, {i} of {count} vertex rows")
-            rows.append(line.split())
+        rows = fh.read().split("\n", count)
+    if len(rows) <= count:
+        raise ContractError(f"{path}: truncated PLY, {len(rows) - 1} of {count} vertex rows")
+    rows = rows[:count]
+    malformed = f"{path}: PLY vertex rows are not 6 numbers each"
     try:
-        arr = np.array(rows, dtype=np.float64).reshape(count, 6)
+        # loadtxt skips blank rows (warning when every row is), so all-blank
+        # rows never reach it and the shape check rejects the others.
+        arr = (np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+               if any(rows) else np.zeros((0, 6)))
     except ValueError:
-        raise ContractError(f"{path}: PLY vertex rows are not 6 numbers each") from None
+        raise ContractError(malformed) from None
+    if arr.shape != (count, 6):
+        raise ContractError(malformed)
     return PointCloud(points=arr[:, :3], colors=arr[:, 3:6] / 255.0)
 
 

@@ -20,7 +20,7 @@ from .cameras import CameraView, backproject_pixels, project_points, warp_pixel
 
 __all__ = [
     "FusionThresholds", "ConsistencyRecord", "PointCloud",
-    "geometric_check", "dynamic_filter", "fuse_point_cloud",
+    "geometric_check", "dynamic_filter", "fuse_point_cloud", "pixel_grid",
 ]
 
 
@@ -68,6 +68,13 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def pixel_grid(h: int, w: int) -> np.ndarray:
+    """(H, W, 2) float64 pixel coordinates, x then y."""
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    return np.stack([xs, ys], axis=-1)
+
+
 def _sample_depth(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """Bilinearly read a depth map at continuous coordinates; 0 outside or where invalid.
 
@@ -100,10 +107,7 @@ def geometric_check(ref_depth: np.ndarray, src_depth: np.ndarray,
     if ref_depth.shape != (ref_view.height, ref_view.width):
         raise DimensionError(
             f"depth {ref_depth.shape} does not match view {ref_view.height}x{ref_view.width}")
-    h, w = ref_depth.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    p_ref = np.stack([xs, ys], axis=-1)
+    p_ref = pixel_grid(*ref_depth.shape)
     valid = ref_depth > 0
 
     p_src, _, in_front = warp_pixel(p_ref, np.where(valid, ref_depth, 1.0),
@@ -165,10 +169,7 @@ def fuse_point_cloud(ref_view: CameraView, ref_depth: np.ndarray,
     Colors come from the reference image. An empty result is legal.
     """
     h, w = ref_depth.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    pts_ref = backproject_pixels(ref_view.intrinsics, ref_view.extrinsics,
-                                 np.stack([xs, ys], axis=-1),
+    pts_ref = backproject_pixels(ref_view.intrinsics, ref_view.extrinsics, pixel_grid(h, w),
                                  np.where(valid, ref_depth, 1.0))
     total = pts_ref.copy()
     count = np.ones((h, w))

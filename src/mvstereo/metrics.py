@@ -14,6 +14,9 @@ __all__ = [
 
 DEPTH_NORMALIZATION_SPAN = 128.0
 _MAX_PAIRS = 1 << 14  # (query, cell) or (query, point) pairs per grid-search batch
+_TARGET_OCCUPANCY = 2.0  # points per occupied cell that the default cell aims at
+_MIN_SHRINK = 1 / 8  # the most the occupancy rule may shrink the default cell
+_ROUND = 2.0 ** -48  # relative rounding slack taken off the stop bound
 
 
 class MetricError(ContractError):
@@ -26,14 +29,23 @@ class GridIndex:
     Points are sorted by linear cell key, with a CSR table of the occupied
     cells (sorted keys, first point, point count). All queries scan growing
     Chebyshev rings of cells together, and a query stops once its best
-    distance is within the lower bound on the distance to any cell past the
-    current ring (see ``_search``). Work is batched at ``_MAX_PAIRS`` (query, cell) or
-    (query, point) pairs, so peak memory does not grow with the query count.
+    distance is within the Euclidean distance from it to the part of the
+    occupied box past the current ring (see ``_stop_bound``). Work is
+    batched at ``_MAX_PAIRS`` (query, cell) or (query, point) pairs, so
+    peak memory does not grow with the query count.
+
+    The default cell starts at ``round(N ** (1/3))`` cells along the largest
+    extent, which suits clouds that fill a volume. Fused clouds are
+    surfaces, where points per cell grow with cell², so the cell then
+    shrinks once by ``sqrt(_TARGET_OCCUPANCY * occupied / N)``, kept within
+    ``[_MIN_SHRINK, 1]``: volume clouds keep the start cell, and a cloud of
+    duplicate points cannot shrink it without bound.
     """
 
     def __init__(self, points: np.ndarray, cell_size: float | None = None):
         points = _finite_xyz(points, "indexed points")
-        if points.shape[0] == 0:
+        n = points.shape[0]
+        if n == 0:
             raise MetricError("cannot index an empty point cloud")
         self.origin = points.min(axis=0)
         self._top = points.max(axis=0)
@@ -42,17 +54,26 @@ class GridIndex:
             # Size cells from the largest extent so flat or degenerate
             # clouds cannot explode the key space.
             side = max(float(extent.max()), 1e-9)
-            cell_size = side / max(round(points.shape[0] ** (1 / 3)), 1)
+            cell_size = side / max(round(n ** (1 / 3)), 1)
+            occupied = len(_run_starts(np.sort(self._cell_keys(points, cell_size)[0])))
+            cell_size *= min(max(np.sqrt(_TARGET_OCCUPANCY * occupied / n), _MIN_SHRINK), 1.0)
         self.cell = float(cell_size)
         if not (self.cell > 0 and np.log2(extent / self.cell + 1).sum() < 62):
             raise MetricError(f"cell size {self.cell!r} is not positive or gives too many cells")
-        keys = np.floor((points - self.origin) / self.cell).astype(np.int64)
-        self.max_key = keys.max(axis=0)
-        linear = np.ravel_multi_index(tuple(keys.T), self.max_key + 1)
+        linear, self.max_key = self._cell_keys(points, self.cell)
         self._order = np.argsort(linear, kind="stable")
-        self._points = points[self._order]
-        self._keys, self._starts, self._counts = np.unique(
-            linear[self._order], return_index=True, return_counts=True)
+        self._xyz = tuple(np.ascontiguousarray(points[self._order, a]) for a in range(3))
+        linear = linear[self._order]
+        self._starts = _run_starts(linear)
+        self._keys = linear[self._starts]
+        self._counts = np.diff(np.append(self._starts, n))
+
+    def _cell_keys(self, points: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
+        """Linear (row-major) cell key of each point, and the largest key per axis."""
+        keys = [np.floor((points[:, a] - self.origin[a]) / cell).astype(np.int64)
+                for a in range(3)]
+        max_key = np.array([k.max() for k in keys])
+        return (keys[0] * (max_key[1] + 1) + keys[1]) * (max_key[2] + 1) + keys[2], max_key
 
     def nearest(self, query: np.ndarray) -> tuple[float, int]:
         """Distance and index (in the caller's point order) of the closest point."""
@@ -66,44 +87,86 @@ class GridIndex:
         """Squared nearest distances and original point indices.
 
         Each query starts from its cell clamped into the occupied box: cells
-        outside it are empty. A point past ring r lies beyond it along some
-        axis a, so it is at least r * cell plus the query's distance
-        ``out[a]`` outside the box along a away on that axis, and at least
-        ``out[b]`` on each other axis b. A query stops once its best squared
-        distance is within the least such bound over a; inside the box that
-        is (r * cell)^2. By its ``coverage`` ring a query has seen the box.
+        outside it are empty. Coordinates, cell keys and the in-box test go
+        one axis at a time, and each distance sums dx² + dy² + dz² in the
+        brute-force oracle's order, so distances are bit-identical to it.
         """
         q = _finite_xyz(queries, "queries")
         best, index = np.full(len(q), np.inf), np.full(len(q), -1)
-        center = np.clip(np.floor((q - self.origin) / self.cell), 0,
-                         self.max_key).astype(np.int64)
-        coverage = np.maximum(center, self.max_key - center).max(axis=1)
-        out = np.maximum(np.maximum(self.origin - q, q - self._top), 0.0)
-        out_min, out_d2 = out.min(axis=1), (out ** 2).sum(axis=1)
+        qa = tuple(np.ascontiguousarray(q[:, a]) for a in range(3))
+        center = tuple(np.clip(np.floor((qa[a] - self.origin[a]) / self.cell), 0,
+                               self.max_key[a]).astype(np.int64) for a in range(3))
+        # Every coordinate the bound subtracts is at most this large.
+        tol = _ROUND * (np.abs(q).max(axis=1) + np.abs(self.origin).max()
+                        + np.abs(self._top).max() + self.cell)
+        out = tuple(np.maximum(np.maximum(self.origin[a] - qa[a], qa[a] - self._top[a])
+                               - tol, 0.0) for a in range(3))
+        dims = tuple(int(m) for m in self.max_key)
         active, r = np.arange(len(q)), 0
         while active.size:
             shell = _shell(r, self.max_key)
-            for owner, k in _batches(np.full(active.size, len(shell))):
-                qi = active[owner]
-                cells = center[qi] + shell[k]
-                inside = ((cells >= 0) & (cells <= self.max_key)).all(axis=1)
-                qi, key = qi[inside], np.ravel_multi_index(tuple(cells[inside].T),
-                                                           self.max_key + 1)
+            for owner, k in _batches(np.full(active.size, shell.shape[1])):
+                qi, key, inside = active[owner], 0, True
+                for a in range(3):
+                    cell = center[a][qi] + shell[a][k]
+                    # Negative keys wrap to huge unsigned ones: one compare per axis.
+                    inside &= cell.view(np.uint64) <= dims[a]
+                    key = key * (dims[a] + 1) + cell
+                qi, key = qi[inside], key[inside]
                 slot = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
                 hit = self._keys[slot] == key
                 qi, slot = qi[hit], slot[hit]
-                # Expand each (query, cell) hit to its (query, point) pairs.
+                # Expand each (query, cell) hit to its (query, point) pairs,
+                # which stay grouped by query.
                 for pair, k in _batches(self._counts[slot]):
                     qq, point = qi[pair], self._starts[slot[pair]] + k
-                    d2 = ((self._points[point] - q[qq]) ** 2).sum(axis=-1)
-                    np.minimum.at(best, qq, d2)
+                    d2 = ((self._xyz[0][point] - qa[0][qq]) ** 2
+                          + (self._xyz[1][point] - qa[1][qq]) ** 2
+                          + (self._xyz[2][point] - qa[2][qq]) ** 2)
+                    runs = _run_starts(qq)
+                    owners = qq[runs]
+                    best[owners] = np.minimum(best[owners], np.minimum.reduceat(d2, runs))
                     win = d2 == best[qq]
                     index[qq[win]] = point[win]
-            reach = r * self.cell
-            bound = reach * (reach + 2 * out_min[active]) + out_d2[active]
-            active = active[(best[active] > bound) & (coverage[active] > r)]
+            active = active[best[active] > self._stop_bound(
+                r, [c[active] for c in center], [x[active] for x in qa],
+                [o[active] for o in out], tol[active])]
             r += 1
         return best, self._order[index]
+
+    def _stop_bound(self, r, center, qa, out, tol) -> np.ndarray:
+        """Squared distance from each query to the occupied box past ring r.
+
+        A point past ring r lies in a slab of whole cells along some axis a,
+        ``key_a >= center_a + r + 1`` or ``key_a <= center_a - r - 1``, and
+        inside the box along the other axes. The slab's near face is a
+        distance ``gap_a`` away along a, counting the query's position in
+        its own cell, and ``out[b]`` along each other axis b. The bound is
+        the least ``gap_a² + sum out[b]²`` over axes with a non-empty slab,
+        +inf once the ring covers the box. ``tol`` takes each per-axis gap
+        below any float rounding of the keys, the gaps and the distances,
+        and the total drops by ``_ROUND``, so rounding can only make the
+        bound smaller.
+        """
+        gap = []
+        for a in range(3):
+            above = np.where(center[a] + r + 1 <= self.max_key[a],
+                             self.origin[a] + (center[a] + r + 1) * self.cell - qa[a], np.inf)
+            below = np.where(center[a] - r - 1 >= 0,
+                             qa[a] - (self.origin[a] + (center[a] - r) * self.cell), np.inf)
+            gap.append(np.maximum(np.minimum(above, below) - tol, 0.0))
+        o2 = [o ** 2 for o in out]
+        bound = np.minimum(np.minimum(gap[0] ** 2 + o2[1] + o2[2], o2[0] + gap[1] ** 2 + o2[2]),
+                           o2[0] + o2[1] + gap[2] ** 2)
+        return bound * (1.0 - _ROUND)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def _batches(counts: np.ndarray):
@@ -122,16 +185,16 @@ def _batches(counts: np.ndarray):
 
 def _shell(r: int, max_key: np.ndarray) -> np.ndarray:
     """Cell offsets at Chebyshev distance r that can stay in a box of
-    ``max_key + 1`` cells, as six faces without overlap; shape (K, 3)."""
+    ``max_key + 1`` cells, as six faces without overlap; shape (3, K)."""
     if r == 0:
-        return np.zeros((1, 3), dtype=np.int64)
+        return np.zeros((3, 1), dtype=np.int64)
     faces = []
     for axis in np.flatnonzero(max_key >= r):
         span = [np.arange(-min(r - (a < axis), m), min(r - (a < axis), m) + 1)
                 for a, m in enumerate(max_key)]
         span[axis] = np.array([-r, r])
-        faces.append(np.stack(np.meshgrid(*span, indexing="ij"), axis=-1).reshape(-1, 3))
-    return np.concatenate(faces)
+        faces.append(np.stack(np.meshgrid(*span, indexing="ij")).reshape(3, -1))
+    return np.concatenate(faces, axis=1)
 
 
 def _finite_xyz(values, what: str) -> np.ndarray:

@@ -218,12 +218,12 @@ class TestCliPipeline:
         assert (tmp_path / "m.csv").exists()
 
     def test_cloud_eval_csv_equals_bruteforce(self, noisy_fused_scene):
-        """fuse -> eval --mode cloud exits 0, and the CSV's accuracy is the
-        clamped mean brute-force distance from the fused cloud to the
-        reference cloud."""
+        """fuse -> eval --mode cloud exits 0, and the CSV row is
+        ``cloud_metrics`` recomputed from brute-force distances between the
+        fused cloud and the reference cloud."""
         from mvstereo.cameras import backproject_pixels
         from mvstereo.fileio import load_scene, read_ply
-        from mvstereo.metrics import nearest_distances_bruteforce
+        from mvstereo.metrics import cloud_metrics, nearest_distances_bruteforce
         scene_dir, fused = noisy_fused_scene
         csv_path = fused.parent / "m.csv"
         result = run_cli("eval", "--mode", "cloud", "--cloud", str(fused / "cloud.ply"),
@@ -238,10 +238,13 @@ class TestCliPipeline:
             reference.append(backproject_pixels(
                 view.intrinsics, view.extrinsics,
                 np.stack([xs, ys], axis=-1).astype(np.float64), view.depth[ys, xs]))
+        reference = np.concatenate(reference)
         clamp = 20 * (float(manifest["d_max"]) - float(manifest["d_min"])) / 128.0
         cloud = read_ply(fused / "cloud.ply").points
-        distances = nearest_distances_bruteforce(cloud, np.concatenate(reference))
-        assert row.split(",")[0] == f"{np.minimum(distances, clamp).mean():.6f}"
+        acc = float(np.minimum(nearest_distances_bruteforce(cloud, reference), clamp).mean())
+        comp = float(np.minimum(nearest_distances_bruteforce(reference, cloud), clamp).mean())
+        assert cloud_metrics(cloud, reference, clamp) == (acc, comp, (acc + comp) / 2.0)
+        assert row == f"{acc:.6f},{comp:.6f},{(acc + comp) / 2.0:.6f}"
 
     def test_truncated_cloud_is_named_on_stderr(self, noisy_fused_scene, tmp_path):
         scene_dir, fused = noisy_fused_scene

@@ -80,6 +80,25 @@ class TestPly:
         assert "element vertex 3" in text
         assert "property float x" in text and "property uchar red" in text
 
+    def test_rows_match_per_row_formatting(self, tmp_path, rng):
+        """The vertex rows, across more than one formatting chunk, are the
+        text of a per-row loop over float32 points and uint8 colors."""
+        n = 5000
+        points = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-30, 30, (n, 1))
+        points[:4] = [[0.0, -0.0, 1e-45], [3.4e38, -3.4e38, 1e-40],
+                      [0.1, 0.2, 0.3], [16777217.0, -1e-7, 1.0]]
+        cloud = PointCloud(points=points, colors=rng.uniform(-0.1, 1.1, (n, 3)))
+        path = tmp_path / "c.ply"
+        write_ply(path, cloud)
+        colors = np.clip(np.rint(cloud.colors * 255.0), 0, 255).astype(np.uint8)
+        rows = "".join(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {c[0]} {c[1]} {c[2]}\n"
+                       for p, c in zip(cloud.points.astype(np.float32), colors))
+        assert path.read_text().split("end_header\n", 1)[1] == rows
+        back = read_ply(path)
+        np.testing.assert_array_equal(back.points.astype(np.float32),
+                                      cloud.points.astype(np.float32))
+        np.testing.assert_array_equal(back.colors * 255.0, colors)
+
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "e.ply"
         write_ply(path, PointCloud(points=np.zeros((0, 3))))
@@ -173,7 +192,7 @@ class TestTruncatedArtifacts:
             read_ply(path)
 
     @pytest.mark.parametrize("row", ["1 2 3 4 5\n", "1 2 3 4 5 6 7\n", "1 2 x 4 5 6\n",
-                                     "1 2 \u00ff 4 5 6\n"])
+                                     "1 2 \u00ff 4 5 6\n", "1 2 3 4 5 6 # note\n", "\n"])
     def test_ply_malformed_row(self, tmp_path, row):
         path = tmp_path / "c.ply"
         path.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\nend_header\n{row}")

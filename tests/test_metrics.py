@@ -131,6 +131,65 @@ class TestBatchedRingSearch:
         assert coverage >= 12
         assert len(rings) <= 6, f"{len(rings)} rings, coverage {coverage}"
 
+    def test_far_queries_in_random_directions_stop_sooner(self, monkeypatch):
+        """Queries 100x the cloud's extent away in random directions. The
+        stop bound is the Euclidean distance to the occupied box past the
+        ring, from the query's own position, so 300 queries scan 1363 rings
+        in all and 2 reach the coverage ring; a per-axis bound from the
+        query's clamped cell scans 1599, and 22 reach coverage. Coverage
+        stays the maximum: a query just off an axis's direction sees the
+        face across that axis at nearly one distance, so its nearest point
+        can lie 13 rings from the start cell."""
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1, 1, size=(3000, 3))
+        direction = rng.normal(size=(300, 3))
+        queries = 200.0 * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+        grid = GridIndex(points)
+        rings = []
+        shell = metrics._shell
+        monkeypatch.setattr(metrics, "_shell", lambda r, max_key: (rings.append(r),
+                                                                  shell(r, max_key))[1])
+        counts = []
+        for q in queries:
+            before = len(rings)
+            assert grid.nearest_distances(q) == nearest_distances_bruteforce(q, points)
+            counts.append(len(rings) - before)
+        coverage = int(grid.max_key.max()) + 1
+        assert coverage == 15
+        assert sum(counts) <= 1363 and counts.count(coverage) <= 2, (sum(counts), counts)
+
+
+class TestDefaultCell:
+    """The default cell holds about _TARGET_OCCUPANCY points per occupied cell."""
+
+    @staticmethod
+    def _start_cell(points: np.ndarray) -> float:
+        return np.ptp(points, axis=0).max() / round(len(points) ** (1 / 3))
+
+    @pytest.mark.parametrize("n", [1000, 3000, 10_000, 20_000])
+    def test_surface_clouds_hold_a_few_points_per_occupied_cell(self, n):
+        points = _cloud(np.random.default_rng(n), n, "surface")
+        grid = GridIndex(points)
+        occupied = len(np.unique(np.floor((points - grid.origin) / grid.cell), axis=0))
+        assert 1 <= n / occupied <= 4, n / occupied
+        assert grid.cell < self._start_cell(points)
+
+    @pytest.mark.parametrize("n", [1000, 3000, 10_000, 20_000])
+    def test_volume_clouds_keep_the_start_cell(self, n):
+        points = _cloud(np.random.default_rng(n), n, "uniform")
+        assert GridIndex(points).cell == self._start_cell(points)
+
+    def test_duplicate_points_shrink_the_cell_a_bounded_amount(self, rng):
+        """Three distinct points, 2000 copies each: the occupancy rule alone
+        would shrink the cell 32x; it shrinks by _MIN_SHRINK and stays exact."""
+        points = np.repeat(rng.uniform(-1, 1, size=(3, 3)), 2000, axis=0)
+        grid = GridIndex(points)
+        assert grid.cell == pytest.approx(metrics._MIN_SHRINK * self._start_cell(points))
+        queries = np.concatenate([_queries(rng, points, 200, where)
+                                  for where in ("near", "box", "far")])
+        np.testing.assert_array_equal(grid.nearest_distances(queries),
+                                      nearest_distances_bruteforce(queries, points))
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
