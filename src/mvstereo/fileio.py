@@ -3,6 +3,7 @@ clouds, camera text files, and the scene directory layout."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -122,16 +123,16 @@ def read_ply(path) -> PointCloud:
                 count = int(field)
             if line.strip() == "end_header":
                 break
-        rows = fh.read().split("\n", count)
-    if len(rows) <= count:
-        raise ContractError(f"{path}: truncated PLY, {len(rows) - 1} of {count} vertex rows")
-    rows = rows[:count]
+        rows = list(itertools.islice(fh, count))
+    complete = len(rows) - (not rows[-1].endswith("\n")) if rows else 0
+    if complete < count:
+        raise ContractError(f"{path}: truncated PLY, {complete} of {count} vertex rows")
     malformed = f"{path}: PLY vertex rows are not 6 numbers each"
     try:
         # loadtxt skips blank rows (warning when every row is), so all-blank
         # rows never reach it and the shape check rejects the others.
         arr = (np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-               if any(rows) else np.zeros((0, 6)))
+               if any(row.strip() for row in rows) else np.zeros((0, 6)))
     except ValueError:
         raise ContractError(malformed) from None
     if arr.shape != (count, 6):

@@ -30,7 +30,7 @@ class GridIndex:
     cells (sorted keys, first point, point count). All queries scan growing
     Chebyshev rings of cells together, and a query stops once its best
     distance is within the Euclidean distance from it to the part of the
-    occupied box past the current ring (see ``_stop_bound``). Work is
+    occupied box past the current ring (see ``_search``). Work is
     batched at ``_MAX_PAIRS`` (query, cell) or (query, point) pairs, so
     peak memory does not grow with the query count.
 
@@ -87,20 +87,31 @@ class GridIndex:
         """Squared nearest distances and original point indices.
 
         Each query starts from its cell clamped into the occupied box: cells
-        outside it are empty. Coordinates, cell keys and the in-box test go
-        one axis at a time, and each distance sums dx² + dy² + dz² in the
-        brute-force oracle's order, so distances are bit-identical to it.
+        outside it are empty. A point past ring r lies in a slab of whole
+        cells along some axis a, ``key_a > center_a + r`` or
+        ``key_a < center_a - r``, and inside the box along the other axes.
+        The slab's near face is ``r * cell`` beyond the query's own cell
+        face along a, and the box is ``out_b`` away along each other axis
+        b. A query stops once its best squared distance is within the least
+        ``gap_a² + sum out_b²`` over the non-empty slabs, which is +inf
+        once its ring covers the box. ``tol`` takes each gap below any float
+        rounding of it and of the keys, and the total drops by ``_ROUND``,
+        so rounding can only make the bound smaller.
+
+        Coordinates, cell keys and the in-box test go one axis at a time, and
+        each distance sums dx² + dy² + dz² in the brute-force oracle's order,
+        so distances are bit-identical to it.
         """
         q = _finite_xyz(queries, "queries")
         best, index = np.full(len(q), np.inf), np.full(len(q), -1)
-        qa = tuple(np.ascontiguousarray(q[:, a]) for a in range(3))
-        center = tuple(np.clip(np.floor((qa[a] - self.origin[a]) / self.cell), 0,
-                               self.max_key[a]).astype(np.int64) for a in range(3))
-        # Every coordinate the bound subtracts is at most this large.
-        tol = _ROUND * (np.abs(q).max(axis=1) + np.abs(self.origin).max()
+        qa = np.ascontiguousarray(q.T)
+        lo, hi, top_key = self.origin[:, None], self._top[:, None], self.max_key[:, None]
+        center = np.clip(np.floor((qa - lo) / self.cell), 0, top_key).astype(np.int64)
+        tol = _ROUND * (np.abs(q).max(initial=0.0) + np.abs(self.origin).max()
                         + np.abs(self._top).max() + self.cell)
-        out = tuple(np.maximum(np.maximum(self.origin[a] - qa[a], qa[a] - self._top[a])
-                               - tol, 0.0) for a in range(3))
+        corner = lo + center * self.cell
+        below, above = qa - corner - tol, corner + self.cell - qa - tol
+        out2 = np.maximum(np.maximum(lo - qa, qa - hi) - tol, 0.0) ** 2
         dims = tuple(int(m) for m in self.max_key)
         active, r = np.arange(len(q)), 0
         while active.size:
@@ -128,37 +139,14 @@ class GridIndex:
                     best[owners] = np.minimum(best[owners], np.minimum.reduceat(d2, runs))
                     win = d2 == best[qq]
                     index[qq[win]] = point[win]
-            active = active[best[active] > self._stop_bound(
-                r, [c[active] for c in center], [x[active] for x in qa],
-                [o[active] for o in out], tol[active])]
+            c, up, down, o2 = (x.take(active, axis=1) for x in (center, above, below, out2))
+            reach = r * self.cell
+            gap = np.minimum(np.where(c + r < top_key, up + reach, np.inf),
+                             np.where(c > r, down + reach, np.inf))
+            bound = o2.sum(axis=0) + (np.maximum(gap, 0.0) ** 2 - o2).min(axis=0)
+            active = active[best[active] > bound * (1.0 - _ROUND)]
             r += 1
         return best, self._order[index]
-
-    def _stop_bound(self, r, center, qa, out, tol) -> np.ndarray:
-        """Squared distance from each query to the occupied box past ring r.
-
-        A point past ring r lies in a slab of whole cells along some axis a,
-        ``key_a >= center_a + r + 1`` or ``key_a <= center_a - r - 1``, and
-        inside the box along the other axes. The slab's near face is a
-        distance ``gap_a`` away along a, counting the query's position in
-        its own cell, and ``out[b]`` along each other axis b. The bound is
-        the least ``gap_a² + sum out[b]²`` over axes with a non-empty slab,
-        +inf once the ring covers the box. ``tol`` takes each per-axis gap
-        below any float rounding of the keys, the gaps and the distances,
-        and the total drops by ``_ROUND``, so rounding can only make the
-        bound smaller.
-        """
-        gap = []
-        for a in range(3):
-            above = np.where(center[a] + r + 1 <= self.max_key[a],
-                             self.origin[a] + (center[a] + r + 1) * self.cell - qa[a], np.inf)
-            below = np.where(center[a] - r - 1 >= 0,
-                             qa[a] - (self.origin[a] + (center[a] - r) * self.cell), np.inf)
-            gap.append(np.maximum(np.minimum(above, below) - tol, 0.0))
-        o2 = [o ** 2 for o in out]
-        bound = np.minimum(np.minimum(gap[0] ** 2 + o2[1] + o2[2], o2[0] + gap[1] ** 2 + o2[2]),
-                           o2[0] + o2[1] + gap[2] ** 2)
-        return bound * (1.0 - _ROUND)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

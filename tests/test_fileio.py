@@ -192,7 +192,9 @@ class TestTruncatedArtifacts:
             read_ply(path)
 
     @pytest.mark.parametrize("row", ["1 2 3 4 5\n", "1 2 3 4 5 6 7\n", "1 2 x 4 5 6\n",
-                                     "1 2 \u00ff 4 5 6\n", "1 2 3 4 5 6 # note\n", "\n"])
+                                     "1 2 \u00ff 4 5 6\n", "1 2 3 4 5 6 # note\n", "\n",
+                                     "   \n", "\t \n"])
+    @pytest.mark.filterwarnings("error")
     def test_ply_malformed_row(self, tmp_path, row):
         path = tmp_path / "c.ply"
         path.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\nend_header\n{row}")

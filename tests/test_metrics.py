@@ -158,6 +158,20 @@ class TestBatchedRingSearch:
         assert coverage == 15
         assert sum(counts) <= 1363 and counts.count(coverage) <= 2, (sum(counts), counts)
 
+    def test_stop_bound_leaves_room_for_rounding(self):
+        """Points and a query a few ulps off cell faces, far from the origin.
+        Evaluated without its rounding slack, the stop bound ends this
+        query's search before it reaches its nearest point, which is 1 ulp
+        of the distance closer than the one it had found."""
+        cell = 0.09776948992084654
+        points = np.array([[100000.19553897984, 100000.0977694899, 100000.19553897984],
+                           [100000.0, 100000.48884744964, 100000.09776948992],
+                           [100000.29330846973, 100000.39107795969, 99999.99999999997],
+                           [99999.99999999997, 100000.48884744964, 100000.09776948989]])
+        query = np.array([[99999.90223051008, 100000.58661693953, 100000.19553897984]])
+        assert (GridIndex(points, cell_size=cell).nearest_distances(query)
+                == nearest_distances_bruteforce(query, points)).all()
+
 
 class TestDefaultCell:
     """The default cell holds about _TARGET_OCCUPANCY points per occupied cell."""
