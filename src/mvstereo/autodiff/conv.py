@@ -11,12 +11,11 @@ block iterator. Forward writes ``w_mat @ cols`` into each block's output
 columns. The patch matrix is not kept for backward: the kernel gradient
 walks the input's blocks again, and only when the kernel requires a
 gradient. There is no col2im: the input gradient is itself a forward conv,
-of the output gradient (zero-dilated by the stride, then padded by k-1-pad
-on each side, or cropped where that is negative) with the kernel flipped
-over its taps and its in and out channels swapped (Dumoulin & Visin 2016,
-sec. 4). Output extents must divide exactly: (n + 2*pad - k) must be a
-multiple of the stride, otherwise a DimensionError is raised rather than
-silently flooring.
+of the output gradient (padded by k-1-pad on each side, or cropped where
+that is negative) with the kernel flipped over its taps and its in and out
+channels swapped (Dumoulin & Visin 2016, sec. 4). Every conv has stride 1;
+the pyramid and the 3D U-Net subsample by slicing. An input smaller than
+its kernel (after padding) raises a DimensionError.
 """
 
 from __future__ import annotations
@@ -35,16 +34,14 @@ _KERNEL_SHAPE = {2: "square", 3: "cubic"}
 _BLOCK_ENTRIES = 1 << 18  # patch-matrix entries per im2col block
 
 
-def _out_extent(n: int, k: int, stride: int, pad: int, what: str) -> int:
-    span = n + 2 * pad - k
-    if span < 0 or span % stride != 0:
+def _out_extent(n: int, k: int, pad: int, what: str) -> int:
+    if n + 2 * pad < k:
         raise DimensionError(
-            f"{what}: extent {n} with kernel {k}, stride {stride}, padding {pad} "
-            f"gives non-integral output size")
-    return span // stride + 1
+            f"{what}: extent {n} with padding {pad} is smaller than kernel {k}")
+    return n + 2 * pad - k + 1
 
 
-def _blocks(data: np.ndarray, k: int, stride: int, pad: int, out_dims: tuple[int, ...]):
+def _blocks(data: np.ndarray, k: int, pad: int, out_dims: tuple[int, ...]):
     """Yield (flat output columns, patch matrix [C * k^d, n]) per block of
     the convolution of ``data`` [C, *spatial] with a k^d kernel.
 
@@ -58,8 +55,8 @@ def _blocks(data: np.ndarray, k: int, stride: int, pad: int, out_dims: tuple[int
     every = (slice(None),)
     rows = data.shape[0] * k ** nd
     padded = np.pad(data, ((0, 0),) + ((pad, pad),) * nd) if pad else data
+    # (C, *out, *taps)
     windows = sliding_window_view(padded, (k,) * nd, axis=tuple(range(1, nd + 1)))
-    windows = windows[every + (slice(None, None, stride),) * nd]  # (C, *out, *taps)
     for axis in range(nd - 1):
         inner = math.prod(out_dims[axis + 1:])
         if rows * inner <= _BLOCK_ENTRIES:
@@ -78,17 +75,17 @@ def _blocks(data: np.ndarray, k: int, stride: int, pad: int, out_dims: tuple[int
             yield slice(begin, begin + n), cols.reshape(rows, n)
 
 
-def _forward(w_mat: np.ndarray, data: np.ndarray, k: int, stride: int, pad: int,
+def _forward(w_mat: np.ndarray, data: np.ndarray, k: int, pad: int,
              out_dims: tuple[int, ...]) -> np.ndarray:
     """``w_mat`` [C_out, C * k^d] times each block's patch matrix of ``data``,
     written into the output [C_out, *out_dims]."""
     out = np.empty((w_mat.shape[0], math.prod(out_dims)), dtype=np.result_type(w_mat, data))
-    for cols_at, cols in _blocks(data, k, stride, pad, out_dims):
+    for cols_at, cols in _blocks(data, k, pad, out_dims):
         np.matmul(w_mat, cols, out=out[:, cols_at])
     return out.reshape((-1,) + out_dims)
 
 
-def _conv(name: str, nd: int, input, kernel, stride: int, padding: int):
+def _conv(name: str, nd: int, input, kernel, padding: int):
     """Convolve input [C_in, *spatial] with kernel [C_out, C_in, k, ...] over ``nd`` axes."""
     x = as_tensor(input)
     w = as_tensor(kernel)
@@ -105,18 +102,16 @@ def _conv(name: str, nd: int, input, kernel, stride: int, padding: int):
     if c_in == 0:
         raise DimensionError(f"{name} kernel must have at least one input channel, "
                              f"got {w.shape}")
-    if stride < 1:
-        raise DimensionError(f"{name} stride must be >= 1, got {stride}")
     if padding < 0:
         raise DimensionError(f"{name} padding must be >= 0, got {padding}")
     if x.shape[0] != c_in:
         raise DimensionError(f"{name} channel mismatch: input {x.shape} vs kernel {w.shape}")
-    s, p = stride, padding
+    p = padding
     spatial = x.shape[1:]
-    out_dims = tuple(_out_extent(n, k, s, p, f"{name} {axis}")
+    out_dims = tuple(_out_extent(n, k, p, f"{name} {axis}")
                      for n, axis in zip(spatial, _AXES[3 - nd:]))
     rows = c_in * k ** nd
-    out = _forward(w.data.reshape(c_out, rows), x.data, k, s, p, out_dims)
+    out = _forward(w.data.reshape(c_out, rows), x.data, k, p, out_dims)
 
     def backward(g):
         gx = gw = None
@@ -125,30 +120,29 @@ def _conv(name: str, nd: int, input, kernel, stride: int, padding: int):
             # BLAS as g @ cols.T at these block shapes.
             g_mat = g.reshape(c_out, -1)
             gw_t = np.zeros((rows, c_out), dtype=w.dtype)
-            for cols_at, cols in _blocks(x.data, k, s, p, out_dims):
+            for cols_at, cols in _blocks(x.data, k, p, out_dims):
                 gw_t += cols @ g_mat[:, cols_at].T
             gw = gw_t.T.reshape(w.shape)
         if x.requires_grad:
-            # Output o reads input o*s + tap - p, so input i gets g[o] * w[tap]
-            # wherever o*s + tap = i + p: the full correlation of the
-            # s-dilated, (k-1)-padded gradient with the flipped kernel, read
-            # from offset p. Cropping p from each side of that padded
-            # gradient leaves exactly n outputs per axis.
-            full = np.zeros((c_out,) + tuple(n + 2 * p + k - 1 for n in spatial), dtype=g.dtype)
-            full[(slice(None),) + tuple(slice(k - 1, n + 2 * p, s) for n in spatial)] = g
-            g_in = full[(slice(None),) + tuple(slice(p, p + n + k - 1) for n in spatial)]
+            # Output o reads input o + tap - p, so input i gets g[o] * w[tap]
+            # wherever o + tap = i + p: the correlation of the gradient,
+            # padded by k-1-p on each side (cropped where that is negative),
+            # with the flipped kernel. That leaves exactly n outputs per axis.
+            crop = max(0, p + 1 - k)
+            g_in = g[(slice(None),) + tuple(slice(crop, m - crop) for m in g.shape[1:])]
             w_flip = np.flip(w.data, axis=tuple(range(2, nd + 2))).swapaxes(0, 1)
-            gx = _forward(w_flip.reshape(c_in, c_out * k ** nd), g_in, k, 1, 0, spatial)
+            gx = _forward(w_flip.reshape(c_in, c_out * k ** nd), g_in, k,
+                          max(0, k - 1 - p), spatial)
         return gx, gw
 
     return make_op(name, out, (x, w), backward)
 
 
-def conv2d(input, kernel, stride: int = 1, padding: int = 0):
+def conv2d(input, kernel, padding: int = 0):
     """Convolve input [C_in, H, W] with kernel [C_out, C_in, k, k]."""
-    return _conv("conv2d", 2, input, kernel, stride, padding)
+    return _conv("conv2d", 2, input, kernel, padding)
 
 
-def conv3d(input, kernel, stride: int = 1, padding: int = 0):
+def conv3d(input, kernel, padding: int = 0):
     """Convolve input [C_in, D, H, W] with kernel [C_out, C_in, k, k, k]."""
-    return _conv("conv3d", 3, input, kernel, stride, padding)
+    return _conv("conv3d", 3, input, kernel, padding)

@@ -20,12 +20,20 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
 
 
 def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
-              h: float = 1e-5, rtol: float = 1e-4, atol: float = 1e-7,
-              max_entries: int | None = 24, rng: np.random.Generator | None = None) -> float:
+              h: float = 1e-5, rtol: float = 1e-4, max_entries: int | None = 24,
+              rng: np.random.Generator | None = None, pooled: bool = False) -> float:
     """Compare reverse-mode gradients of ``fn(*inputs)`` with central differences.
 
-    ``fn`` must return a scalar tensor. Each requires-grad input is probed
-    either exhaustively or at ``max_entries`` randomly chosen coordinates.
+    ``fn`` must return a scalar tensor. By default each requires-grad input
+    is probed either exhaustively or at ``max_entries`` randomly chosen
+    coordinates. With ``pooled``, ``max_entries`` probes are drawn across
+    all requires-grad inputs, each tensor with probability proportional to
+    its size, for a function of many parameters (a whole model). Pooled
+    probes suit piecewise-smooth functions: a probe whose +-h interval
+    straddles a kink (an argmax flip, say) measures the jump, not a
+    derivative, so each pooled probe also differences at h/2 and is redrawn
+    when the two estimates disagree (a smooth point agrees to O(h^2)).
+
     Returns the worst relative error seen and raises AssertionError if it
     exceeds ``rtol``. Run under 64-bit precision; 32-bit inputs have too
     little headroom for h = 1e-5.
@@ -37,31 +45,53 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     if loss.size != 1:
         raise ValueError("gradcheck target must be scalar")
     loss.backward()
+    probed = [t for t in inputs if t.requires_grad]
+    assert all(t.grad is not None for t in probed), "requires-grad input received no gradient"
+
+    def draws():
+        """(tensor, flat index) pairs to probe, in order."""
+        if pooled:
+            sizes = np.array([t.size for t in probed])
+            weights = sizes / sizes.sum()
+            for _ in range(10 * max_entries):
+                t = probed[int(rng.choice(len(probed), p=weights))]
+                yield t, int(rng.integers(t.size))
+            raise AssertionError("could not find enough smooth probe points")
+        for t in probed:
+            n = t.size
+            if max_entries is None or n <= max_entries:
+                coords = np.arange(n)
+            else:
+                coords = rng.choice(n, size=max_entries, replace=False)
+            for i in coords:
+                yield t, i
+
+    def central(t, i, step):
+        flat = t.data.reshape(-1)
+        orig = flat[i]
+        flat[i] = orig + step
+        f_plus = fn(*inputs).item()
+        flat[i] = orig - step
+        f_minus = fn(*inputs).item()
+        flat[i] = orig
+        return (f_plus - f_minus) / (2.0 * step)
 
     worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        assert t.grad is not None, "requires-grad input received no gradient"
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if max_entries is None or n <= max_entries:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_entries, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = fn(*inputs).item()
-            flat[i] = orig - h
-            f_minus = fn(*inputs).item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic = float(t.grad.reshape(-1)[i])
-            err = max_relative_error(np.asarray(analytic), np.asarray(numeric), atol=atol)
-            worst = max(worst, err)
-            if err > rtol:
-                raise AssertionError(
-                    f"gradient mismatch at flat index {i} of tensor shape {t.shape}: "
-                    f"analytic={analytic:.8g} numeric={numeric:.8g} rel_err={err:.3g}")
+    accepted = 0
+    for t, i in draws():
+        numeric = central(t, i, h)
+        if pooled:
+            half = central(t, i, h / 2)
+            if abs(numeric - half) > 0.05 * max(abs(numeric), abs(half), 1e-6):
+                continue  # non-smooth point: the quotient is not a derivative
+        analytic = float(t.grad.reshape(-1)[i])
+        err = max_relative_error(np.asarray(analytic), np.asarray(numeric))
+        worst = max(worst, err)
+        if err > rtol:
+            raise AssertionError(
+                f"gradient mismatch at flat index {i} of tensor shape {t.shape}: "
+                f"analytic={analytic:.8g} numeric={numeric:.8g} rel_err={err:.3g}")
+        accepted += 1
+        if pooled and accepted == max_entries:
+            break
     return worst

@@ -151,6 +151,10 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     ad.set_default_dtype(np.float32)
     views, manifest = load_scene(Path(args.scene))
+    if args.ref is not None and not 0 <= args.ref < len(views):
+        print(f"error: --ref {args.ref} is not a view of this scene; "
+              f"valid: 0..{len(views) - 1}", file=sys.stderr)
+        return 2
     model = StereoModel(_adopt_scene_range(cfg, manifest), seed=args.seed)
     if args.checkpoint:
         restore(model, load_checkpoint(args.checkpoint))
@@ -162,19 +166,27 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _read_prediction(root: Path, view: int, kind: str):
+    """One view's final-stage ``depth`` or ``conf`` map under ``root``, as float64."""
+    import numpy as np
+    from .autodiff import ContractError
+    from .fileio import read_pfm
+    path = root / f"view_{view:04d}" / f"{kind}_stage3.pfm"
+    if not path.is_file():
+        raise ContractError(f"{path}: no such map; `mvstereo infer` writes it")
+    return read_pfm(path).astype(np.float64)
+
+
 def cmd_fuse(args) -> int:
     import numpy as np
-    from .fileio import load_scene, read_pfm, write_ply, write_ppm
+    from .fileio import load_scene, write_ply, write_ppm
     from .fusion import dynamic_filter, fuse_point_cloud, geometric_check
 
     cfg = _load_config(args.config)
     views, _ = load_scene(Path(args.scene))
     depth_root = Path(args.depths)
-    depths = []
-    confs = []
-    for i in range(len(views)):
-        depths.append(read_pfm(depth_root / f"view_{i:04d}" / "depth_stage3.pfm").astype(np.float64))
-        confs.append(read_pfm(depth_root / f"view_{i:04d}" / "conf_stage3.pfm").astype(np.float64))
+    depths = [_read_prediction(depth_root, i, "depth") for i in range(len(views))]
+    confs = [_read_prediction(depth_root, i, "conf") for i in range(len(views))]
     thresholds = cfg.fusion
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,7 +223,7 @@ def _reference_cloud(views):
 
 def cmd_eval(args) -> int:
     import numpy as np
-    from .fileio import load_scene, read_pfm, read_ply
+    from .fileio import load_scene, read_ply
     from .metrics import cloud_metrics, depth_metrics
 
     views, manifest = load_scene(Path(args.scene))
@@ -221,7 +233,7 @@ def cmd_eval(args) -> int:
         pred_root = Path(args.pred)
         epes = []
         for i, view in enumerate(views):
-            pred = read_pfm(pred_root / f"view_{i:04d}" / "depth_stage3.pfm").astype(np.float64)
+            pred = _read_prediction(pred_root, i, "depth")
             epe, e1, e3 = depth_metrics(pred, view.depth, view.depth > 0, d_min, d_max)
             out_rows.append([f"view_{i:04d}", f"{epe:.6f}", f"{e1:.3f}", f"{e3:.3f}"])
             epes.append((epe, e1, e3))
@@ -263,6 +275,10 @@ def cmd_bench_attention(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradsuite import GRAD_CHECKS, run_suite
 
+    if args.scope != "all" and args.scope not in GRAD_CHECKS:
+        print(f"error: unknown --scope {args.scope!r}; valid: all, {', '.join(GRAD_CHECKS)}",
+              file=sys.stderr)
+        return 2
     names = list(GRAD_CHECKS) if args.scope == "all" else [args.scope]
     ok = run_suite(names, instances=args.instances, base_seed=args.seed)
     return 0 if ok else 1

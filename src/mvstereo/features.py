@@ -116,7 +116,7 @@ class DeformableConv2d(Module):
         self.offset_bias = parameter(np.zeros(18))
 
     def predict_offsets(self, feat: Tensor) -> Tensor:
-        off = ad.conv2d(feat, self.offset_weight, stride=1, padding=1)
+        off = ad.conv2d(feat, self.offset_weight, padding=1)
         return off + ad.reshape(self.offset_bias, (-1, 1, 1))
 
     def __call__(self, feat: Tensor) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, gradcheck
+from .autodiff import gradcheck
 from .cameras import build_warp_grid
 from .features import deformable_conv2d
 from .matcher import MatchingTransformer, linear_attention
@@ -20,10 +20,7 @@ from .regularizer import probability_volume
 from .scene import SceneSpec, render_synthetic_scene
 from .training import LossConfig, cascade_loss, focal_loss
 
-__all__ = ["GRAD_CHECKS", "run_check", "run_suite", "spot_gradcheck"]
-
-H_STEP = 1e-5
-RTOL = 1e-4
+__all__ = ["GRAD_CHECKS", "run_check", "run_suite"]
 
 
 def _t(rng, shape, lo=-1.0, hi=1.0, grad=True):
@@ -38,24 +35,23 @@ def check_matmul(rng) -> float:
     a = _t(rng, (4, 5))
     b = _t(rng, (5, 3))
     c = _coef(rng, (4, 3))
-    return gradcheck(lambda a, b: ad.sum_(ad.matmul(a, b) * c), [a, b],
-                     h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+    return gradcheck(lambda a, b: ad.sum_(ad.matmul(a, b) * c), [a, b], max_entries=8, rng=rng)
 
 
 def check_conv2d(rng) -> float:
     x = _t(rng, (2, 6, 7))
     k = _t(rng, (3, 2, 3, 3))
     c = _coef(rng, (3, 6, 7))
-    return gradcheck(lambda x, k: ad.sum_(ad.conv2d(x, k, 1, 1) * c), [x, k],
-                     h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+    return gradcheck(lambda x, k: ad.sum_(ad.conv2d(x, k, padding=1) * c), [x, k],
+                     max_entries=8, rng=rng)
 
 
 def check_conv3d(rng) -> float:
     x = _t(rng, (2, 4, 5, 4))
     k = _t(rng, (2, 2, 3, 3, 3))
     c = _coef(rng, (2, 4, 5, 4))
-    return gradcheck(lambda x, k: ad.sum_(ad.conv3d(x, k, 1, 1) * c), [x, k],
-                     h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+    return gradcheck(lambda x, k: ad.sum_(ad.conv3d(x, k, padding=1) * c), [x, k],
+                     max_entries=8, rng=rng)
 
 
 def check_grid_sample(rng) -> float:
@@ -66,7 +62,7 @@ def check_grid_sample(rng) -> float:
                      + rng.choice([0.15, 0.45], size=(4, 5, 2)), requires_grad=True)
     c = _coef(rng, (3, 4, 5))
     return gradcheck(lambda i, g: ad.sum_(ad.grid_sample_2d(i, g)[0] * c), [img, grid],
-                     h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+                     max_entries=8, rng=rng)
 
 
 def check_elementwise(rng) -> float:
@@ -74,20 +70,19 @@ def check_elementwise(rng) -> float:
     x = ad.tensor(rng.uniform(0.2, 2.0, size=(3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5)),
                   requires_grad=True)
     c = _coef(rng, (3, 5))
-    worst = gradcheck(lambda x: ad.sum_(ad.elu(x) * c), [x],
-                      h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+    worst = gradcheck(lambda x: ad.sum_(ad.elu(x) * c), [x], max_entries=8, rng=rng)
     y = _t(rng, (4, 6))
     cy = _coef(rng, (4, 6))
     worst = max(worst, gradcheck(lambda y: ad.sum_(ad.softmax(y, axis=1) * cy), [y],
-                                 h=H_STEP, rtol=RTOL, max_entries=8, rng=rng))
+                                 max_entries=8, rng=rng))
     z = _t(rng, (3, 4))
     cz = _coef(rng, (3,))
     worst = max(worst, gradcheck(
         lambda z: ad.sum_(ad.max_with_argmax(z, axis=1)[0] * cz), [z],
-        h=H_STEP, rtol=RTOL, max_entries=8, rng=rng))
+        max_entries=8, rng=rng))
     worst = max(worst, gradcheck(
         lambda z: ad.mean(ad.exp(z * 0.3)) + ad.sum_(ad.log(z * z + 1.0)), [z],
-        h=H_STEP, rtol=RTOL, max_entries=8, rng=rng))
+        max_entries=8, rng=rng))
     return worst
 
 
@@ -95,11 +90,11 @@ def check_upsample(rng) -> float:
     x = _t(rng, (2, 3, 4))
     c = _coef(rng, (2, 6, 8))
     worst = gradcheck(lambda x: ad.sum_(ad.upsample_bilinear_2x(x) * c), [x],
-                      h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+                      max_entries=8, rng=rng)
     v = _t(rng, (1, 2, 3, 4))
     cv = _coef(rng, (1, 4, 6, 8))
     return max(worst, gradcheck(lambda v: ad.sum_(ad.upsample_trilinear_2x(v) * cv), [v],
-                                h=H_STEP, rtol=RTOL, max_entries=8, rng=rng))
+                                max_entries=8, rng=rng))
 
 
 def check_deformable_conv(rng) -> float:
@@ -109,7 +104,7 @@ def check_deformable_conv(rng) -> float:
     c = _coef(rng, (3, 6, 7))
     return gradcheck(
         lambda f, k, o: ad.sum_(deformable_conv2d(f, k, o) * c),
-        [feat, kernel, offsets], h=H_STEP, rtol=RTOL, max_entries=6, rng=rng)
+        [feat, kernel, offsets], max_entries=6, rng=rng)
 
 
 def check_linear_attention(rng) -> float:
@@ -119,7 +114,7 @@ def check_linear_attention(rng) -> float:
     c = _coef(rng, (6, 8))
     return gradcheck(
         lambda q, k, v: ad.sum_(linear_attention(q, k, v, n_heads=2) * c),
-        [q, k, v], h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+        [q, k, v], max_entries=8, rng=rng)
 
 
 def check_warp_grid(rng) -> float:
@@ -132,7 +127,7 @@ def check_warp_grid(rng) -> float:
     def f(d):
         grid, _ = build_warp_grid(d, intr, ref, intr, src_r, 4, 5)
         return ad.sum_(grid * c)
-    return gradcheck(f, [depth], h=H_STEP, rtol=RTOL, max_entries=8, rng=rng)
+    return gradcheck(f, [depth], max_entries=8, rng=rng)
 
 
 def check_focal_loss(rng) -> float:
@@ -146,56 +141,7 @@ def check_focal_loss(rng) -> float:
     gamma = float(rng.choice([0.0, 1.0, 2.0]))
     def f(lg):
         return focal_loss(probability_volume(lg), gt, hyps, mask, gamma)
-    return gradcheck(f, [logits], h=H_STEP, rtol=RTOL, max_entries=10, rng=rng)
-
-
-def spot_gradcheck(fn, params: list[Tensor], n_probes: int, rng,
-                   h: float = H_STEP, rtol: float = RTOL, atol: float = 1e-7) -> float:
-    """Finite-difference check at random scalar entries across many tensors.
-
-    Winner-take-all depth selection makes the cascade loss piecewise smooth:
-    a probe whose +-h interval straddles an argmax flip measures the jump,
-    not a derivative. Each probe therefore differences at two step sizes
-    and is re-drawn when the two estimates disagree (a smooth point gives
-    agreement to O(h^2); a crossing does not).
-    """
-    for p in params:
-        p.zero_grad()
-    loss = fn()
-    loss.backward()
-    sizes = np.array([p.size for p in params])
-    probs = sizes / sizes.sum()
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < n_probes:
-        attempts += 1
-        if attempts > 10 * n_probes:
-            raise AssertionError("could not find enough smooth probe points")
-        t = params[int(rng.choice(len(params), p=probs))]
-        i = int(rng.integers(t.size))
-        flat = t.data.reshape(-1)
-        orig = flat[i]
-        estimates = []
-        for step in (h, h / 2):
-            flat[i] = orig + step
-            f_plus = fn().item()
-            flat[i] = orig - step
-            f_minus = fn().item()
-            estimates.append((f_plus - f_minus) / (2 * step))
-        flat[i] = orig
-        n1, n2 = estimates
-        if abs(n1 - n2) > 0.05 * max(abs(n1), abs(n2), 1e-6):
-            continue  # non-smooth point: the FD quotient is not a derivative
-        accepted += 1
-        analytic = float(t.grad.reshape(-1)[i]) if t.grad is not None else 0.0
-        err = ad.max_relative_error(np.asarray(analytic), np.asarray(n1), atol=atol)
-        worst = max(worst, err)
-        if err > rtol:
-            raise AssertionError(
-                f"cascade gradient mismatch at entry {i}: analytic={analytic:.8g} "
-                f"numeric={n1:.8g} rel_err={err:.3g}")
-    return worst
+    return gradcheck(f, [logits], max_entries=10, rng=rng)
 
 
 def _tiny_scene(seed: int):
@@ -220,7 +166,7 @@ def check_matcher_forward(rng) -> float:
     def f(a, b):
         outs = net([a, b])
         return ad.sum_(outs[0] * coefs[0]) + ad.sum_(outs[1] * coefs[1])
-    return gradcheck(f, feats, h=H_STEP, rtol=RTOL, max_entries=6, rng=rng)
+    return gradcheck(f, feats, max_entries=6, rng=rng)
 
 
 def check_cascade_loss(rng) -> float:
@@ -229,11 +175,11 @@ def check_cascade_loss(rng) -> float:
     scene = _tiny_scene(seed)
     model = _tiny_model(seed)
     loss_cfg = LossConfig(gamma=0.0)
-    def f():
+    def f(*params):
         outputs = model(scene.views)
         return cascade_loss(outputs, scene.views[0], loss_cfg)[0]
-    return spot_gradcheck(f, model.parameters(), n_probes=10,
-                          rng=np.random.default_rng(seed ^ 0x5F5F), rtol=1e-4)
+    return gradcheck(f, model.parameters(), max_entries=10,
+                     rng=np.random.default_rng(seed ^ 0x5F5F), pooled=True)
 
 
 GRAD_CHECKS = {

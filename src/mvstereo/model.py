@@ -20,13 +20,7 @@ from .costvolume import aggregate_correlation, pairwise_correlation, warp_source
 from .features import PYRAMID_CHANNELS, DeformableConv2d, FeaturePyramidNet, PathwayMerge
 from .matcher import MatchingTransformer
 from .nn import Module
-from .regularizer import (
-    DepthEstimate,
-    ProbabilityVolume,
-    VolumeRegularizer,
-    probability_volume,
-    winner_take_all,
-)
+from .regularizer import DepthEstimate, VolumeRegularizer, probability_volume, winner_take_all
 
 __all__ = ["CascadeConfig", "ModelConfig", "StageOutput", "StereoModel"]
 
@@ -67,7 +61,7 @@ class StageOutput:
     """Everything one cascade stage produces."""
 
     stage: int
-    prob: ProbabilityVolume
+    prob: Tensor  # per-pixel softmax over the hypotheses, (H', W', D)
     hyps: DepthHypotheses
     estimate: DepthEstimate
 
@@ -105,7 +99,7 @@ class StereoModel(Module):
 
     def _stage_volume(self, feats: list[Tensor], hyps: DepthHypotheses,
                       views: list[CameraView], scale: float,
-                      regularizer: VolumeRegularizer) -> ProbabilityVolume:
+                      regularizer: VolumeRegularizer) -> Tensor:
         ref_view = views[0]
         ref_intr = scale_camera(ref_view.intrinsics, scale)
         pairs = []

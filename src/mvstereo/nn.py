@@ -90,7 +90,7 @@ class Conv2dLayer(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         pad = self.kernel // 2
-        y = ad.conv2d(x, self.weight, stride=1, padding=pad)
+        y = ad.conv2d(x, self.weight, padding=pad)
         y = y + ad.reshape(self.bias, (-1, 1, 1))
         if self.norm:
             # Instance norm: per-channel statistics over the spatial plane.

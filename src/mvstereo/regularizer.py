@@ -11,25 +11,7 @@ from .autodiff import DimensionError, Tensor
 from .cameras import DepthHypotheses
 from .nn import Module, kaiming_uniform, parameter
 
-__all__ = [
-    "ProbabilityVolume", "DepthEstimate", "VolumeRegularizer",
-    "probability_volume", "winner_take_all",
-]
-
-
-@dataclass
-class ProbabilityVolume:
-    """Per-pixel distribution over depth hypotheses, shape (H', W', D)."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.ndim != 3:
-            raise DimensionError(f"probability volume must be (H,W,D), got {self.values.shape}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+__all__ = ["DepthEstimate", "VolumeRegularizer", "probability_volume", "winner_take_all"]
 
 
 @dataclass
@@ -38,7 +20,6 @@ class DepthEstimate:
 
     depth: np.ndarray
     confidence: np.ndarray
-    stage: int
 
 
 class Conv3dLayer(Module):
@@ -49,7 +30,7 @@ class Conv3dLayer(Module):
         self.act = act
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.conv3d(x, self.weight, stride=1, padding=1)
+        y = ad.conv3d(x, self.weight, padding=1)
         y = y + ad.reshape(self.bias, (-1, 1, 1, 1))
         return ad.relu(y) if self.act else y
 
@@ -114,21 +95,19 @@ def vol_check(t: Tensor) -> Tensor:
     return t
 
 
-def probability_volume(logits: Tensor) -> ProbabilityVolume:
+def probability_volume(logits: Tensor) -> Tensor:
     """Softmax over the depth axis of (H', W', D) logits."""
-    return ProbabilityVolume(ad.softmax(vol_check(logits), axis=2))
+    return ad.softmax(vol_check(logits), axis=2)
 
 
-def winner_take_all(prob: ProbabilityVolume | Tensor, hyps: DepthHypotheses,
-                    stage: int | None = None) -> DepthEstimate:
+def winner_take_all(prob: Tensor, hyps: DepthHypotheses) -> DepthEstimate:
     """Depth at the most probable hypothesis; ties go to the smaller index.
 
     Confidence is the probability mass of the 3-hypothesis window around
     the winner; at the ends of the volume the window shifts inward rather
     than shrinking.
     """
-    p = prob.values.data if isinstance(prob, ProbabilityVolume) else np.asarray(
-        prob.data if isinstance(prob, Tensor) else prob)
+    p = prob.data
     h, w, d = p.shape
     idx = p.argmax(axis=2)
     if hyps.is_global:
@@ -144,5 +123,4 @@ def winner_take_all(prob: ProbabilityVolume | Tensor, hyps: DepthHypotheses,
         lo = np.take_along_axis(csum, start[..., None], axis=2)[..., 0]
         hi = np.take_along_axis(csum, (start + 3)[..., None], axis=2)[..., 0]
         conf = hi - lo
-    return DepthEstimate(depth=depth, confidence=np.clip(conf, 0.0, 1.0),
-                         stage=hyps.stage if stage is None else stage)
+    return DepthEstimate(depth=depth, confidence=np.clip(conf, 0.0, 1.0))

@@ -17,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 from .cameras import DepthHypotheses
 from .model import STAGE_SCALES, StageOutput, StereoModel
-from .regularizer import ProbabilityVolume
 from .scene import SyntheticScene
 
 logger = logging.getLogger(__name__)
@@ -46,7 +45,7 @@ class LossConfig:
             raise ContractError(f"focusing parameter must be >= 0, got {self.gamma}")
 
 
-def focal_loss(prob: ProbabilityVolume | Tensor, gt_depth: np.ndarray,
+def focal_loss(prob: Tensor, gt_depth: np.ndarray,
                hyps: DepthHypotheses, mask: np.ndarray, gamma: float) -> Tensor:
     """Mean focal loss over valid pixels.
 
@@ -55,8 +54,7 @@ def focal_loss(prob: ProbabilityVolume | Tensor, gt_depth: np.ndarray,
     clamped at 1e-12, averaged over valid pixels. With no valid pixels the
     loss is defined as 0 and a warning is logged.
     """
-    p = prob.values if isinstance(prob, ProbabilityVolume) else prob
-    h, w, d = p.shape
+    h, w, d = prob.shape
     gt = np.asarray(gt_depth, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if gt.shape != (h, w) or mask.shape != (h, w):
@@ -72,14 +70,14 @@ def focal_loss(prob: ProbabilityVolume | Tensor, gt_depth: np.ndarray,
         logger.warning("focal loss: no valid pixels, defining loss as 0")
         return ad.tensor(np.zeros(()))
 
-    p_sel = ad.reshape(ad.take_along_axis(p, target[..., None], axis=2), (h, w))
+    p_sel = ad.reshape(ad.take_along_axis(prob, target[..., None], axis=2), (h, w))
     log_p = ad.log(ad.maximum(p_sel, LOG_CLAMP))
     if gamma == 0.0:
         weighted = log_p
     else:
         focus = ad.pow_const(ad.maximum(1.0 - p_sel, LOG_CLAMP), gamma)
         weighted = focus * log_p
-    m = ad.tensor(mask.astype(p.dtype))
+    m = ad.tensor(mask.astype(prob.dtype))
     return -ad.sum_(weighted * m) * (1.0 / n_valid)
 
 

@@ -170,9 +170,9 @@ def test_criterion_6_equation_oracles():
         focal_diff = 0.0
         for gamma in (0.0, 1.0, 2.0):
             got = float(focal_loss(prob, gt, hyps, mask2, gamma).data)
-            want = focal_loop(prob.values.data, gt, hyps, mask2, gamma)
+            want = focal_loop(prob.data, gt, hyps, mask2, gamma)
             focal_diff = max(focal_diff, abs(got - want))
-        p = prob.values.data
+        p = prob.data
         target = np.abs(hyps.values[None, None] - gt[..., None]).argmin(axis=2)
         sel = np.take_along_axis(p, target[..., None], axis=2)[..., 0]
         ce = -(np.log(np.maximum(sel, 1e-12))[mask2]).mean()
@@ -191,7 +191,7 @@ def test_criterion_7_zero_offset_deformable_equivalence():
             feat = ad.tensor(rng.standard_normal((4, 10, 12)))
             kernel = ad.tensor(rng.standard_normal((5, 4, 3, 3)))
             deform = deformable_conv2d(feat, kernel, ad.tensor(np.zeros((18, 10, 12))))
-            standard = ad.conv2d(feat, kernel, stride=1, padding=1)
+            standard = ad.conv2d(feat, kernel, padding=1)
             diff = max(diff, float(np.abs(deform.data - standard.data).max()))
     report(7, diff <= 1e-6, f"zero-offset deformable vs standard conv: {diff:.2e} (<= 1e-6)")
 
@@ -210,7 +210,7 @@ def test_criterion_8_cascade_contracts():
     for s in (1, 2):
         vals = outs[s].hyps.values
         chosen = np.take_along_axis(
-            vals, outs[s].prob.values.data.argmax(axis=2)[..., None], axis=2)[..., 0]
+            vals, outs[s].prob.data.argmax(axis=2)[..., None], axis=2)[..., 0]
         member_ok &= bool((chosen == outs[s].estimate.depth).all())
         prev_up = ad.upsample_bilinear_2x(
             ad.tensor(outs[s - 1].estimate.depth[None], dtype=np.float64)).data[0]
@@ -218,7 +218,7 @@ def test_criterion_8_cascade_contracts():
                      & (vals[..., -1] < cfg.d_max - 1e-9))
         center_ok &= bool(np.allclose(vals.mean(axis=2)[unclamped],
                                       prev_up[unclamped], rtol=1e-6))
-    prob_ok = all(np.abs(o.prob.values.data.sum(axis=2) - 1).max() < 1e-5
+    prob_ok = all(np.abs(o.prob.data.sum(axis=2) - 1).max() < 1e-5
                   for o in outs)
     ok = counts == (16, 8, 4) and decay_ok and member_ok and center_ok and prob_ok
     report(8, ok,

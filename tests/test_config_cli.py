@@ -172,6 +172,17 @@ class TestCliPipeline:
         assert depth.shape == (16, 16) and conf.shape == (16, 16)
         assert (depth > 0).all() and (conf >= 0).all() and (conf <= 1).all()
 
+    @pytest.mark.parametrize("ref", ["3", "-1"])
+    def test_infer_ref_outside_the_scene_exits_2(self, small_scene_dir, tmp_path, ref):
+        """Each synthetic scene has 3 views, so --ref must lie in 0..2."""
+        result = run_cli("infer", "--scene", str(small_scene_dir / "scenes" / "scene_0000"),
+                         "--out", str(tmp_path / "pred"), "--ref", ref,
+                         "--config", str(small_scene_dir / "small.cfg"))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert f"--ref {ref}" in result.stderr and "0..2" in result.stderr
+        assert not (tmp_path / "pred").exists()
+
     def test_mismatched_checkpoint_is_named_on_stderr(self, small_scene_dir, tmp_path):
         """A checkpoint saved with one block, read by a two-block config."""
         from mvstereo.model import StereoModel
@@ -216,6 +227,14 @@ class TestCliPipeline:
         assert accuracy < 2e-3
         assert overall < 0.05
         assert (tmp_path / "m.csv").exists()
+
+    def test_fuse_missing_depth_map_is_named_on_stderr(self, small_scene_dir, tmp_path):
+        result = run_cli("fuse", "--scene", str(small_scene_dir / "scenes" / "scene_0000"),
+                         "--depths", str(tmp_path / "nope"), "--out", str(tmp_path / "fused"))
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        missing = tmp_path / "nope" / "view_0000" / "depth_stage3.pfm"
+        assert str(missing) in result.stderr and "mvstereo infer" in result.stderr
 
     def test_cloud_eval_csv_equals_bruteforce(self, noisy_fused_scene):
         """fuse -> eval --mode cloud exits 0, and the CSV row is
@@ -277,6 +296,13 @@ class TestCliPipeline:
         result = run_cli("gradcheck", "--scope", "matmul", "--instances", "3")
         assert result.returncode == 0
         assert "PASS matmul" in result.stdout
+
+    def test_gradcheck_command_unknown_scope_exits_2(self):
+        result = run_cli("gradcheck", "--scope", "bogus")
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "'bogus'" in result.stderr
+        assert "all, matmul, conv2d" in result.stderr and "cascade_loss" in result.stderr
 
     def test_bench_attention_small(self, tmp_path):
         out = tmp_path / "bench.csv"

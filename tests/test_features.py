@@ -59,13 +59,13 @@ class TestDeformableConv:
         kernel = ad.tensor(rng.standard_normal((5, 4, 3, 3)))
         zero_off = ad.tensor(np.zeros((18, 10, 12)))
         deform = deformable_conv2d(feat, kernel, zero_off)
-        standard = ad.conv2d(feat, kernel, stride=1, padding=1)
+        standard = ad.conv2d(feat, kernel, padding=1)
         assert np.abs(deform.data - standard.data).max() <= 1e-6
 
     def test_module_initialized_to_standard_conv(self, f64, rng):
         mod = DeformableConv2d(rng, channels=4)
         feat = ad.tensor(rng.standard_normal((4, 8, 9)))
-        expected = ad.conv2d(feat, mod.weight, 1, 1) + ad.reshape(mod.bias, (-1, 1, 1))
+        expected = ad.conv2d(feat, mod.weight, padding=1) + ad.reshape(mod.bias, (-1, 1, 1))
         np.testing.assert_allclose(mod(feat).data, expected.data, atol=1e-6)
         assert np.all(mod.offset_weight.data == 0)
 
@@ -78,7 +78,7 @@ class TestDeformableConv:
         out = deformable_conv2d(ad.tensor(feat_np), kernel, ad.tensor(offsets))
         shifted = np.zeros_like(feat_np)
         shifted[:, :, :-1] = feat_np[:, :, 1:]
-        ref = ad.conv2d(ad.tensor(shifted), kernel, stride=1, padding=1)
+        ref = ad.conv2d(ad.tensor(shifted), kernel, padding=1)
         np.testing.assert_allclose(out.data[:, 2:-2, 2:-2], ref.data[:, 2:-2, 2:-2],
                                    atol=1e-6)
 

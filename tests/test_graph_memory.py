@@ -48,7 +48,7 @@ def test_dropping_the_loss_frees_the_graph(f32, rng):
     grid = ad.tensor(rng.uniform(0.0, 23.0, size=(6, 24, 24, 2)), requires_grad=True)
     with traced_without_gc():
         baseline = live_bytes()
-        h = ad.relu(ad.conv3d(x, k, stride=1, padding=1))
+        h = ad.relu(ad.conv3d(x, k, padding=1))
         warped, _ = ad.grid_sample_2d(h[:, 0], grid)
         loss = ad.mean(warped * warped) + ad.mean(h[:, ::2] * 0.5)
         loss.backward()
@@ -92,7 +92,7 @@ def test_conv3d_forward_peak_is_blocked(f32, rng):
     would be 432 x 49152 float32 entries, 81 MB."""
     x = ad.tensor(rng.standard_normal((16, 4, 96, 128)))
     k = ad.tensor(rng.standard_normal((8, 16, 3, 3, 3)))
-    peak, _ = forward_peak(lambda: ad.conv3d(x, k, stride=1, padding=1))
+    peak, _ = forward_peak(lambda: ad.conv3d(x, k, padding=1))
     assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"
 
 

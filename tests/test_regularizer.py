@@ -6,12 +6,7 @@ import pytest
 from mvstereo import autodiff as ad
 from mvstereo.cameras import sample_hypotheses_initial
 from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
-from mvstereo.regularizer import (
-    DepthEstimate,
-    VolumeRegularizer,
-    probability_volume,
-    winner_take_all,
-)
+from mvstereo.regularizer import VolumeRegularizer, probability_volume, winner_take_all
 from mvstereo.scene import SceneSpec, render_synthetic_scene
 
 
@@ -49,24 +44,24 @@ class TestRegularizer:
 class TestProbabilityVolume:
     def test_uniform_logits_give_uniform_probability(self, f64):
         p = probability_volume(ad.tensor(np.zeros((3, 4, 5))))
-        np.testing.assert_allclose(p.values.data, 0.2, atol=1e-12)
+        np.testing.assert_allclose(p.data, 0.2, atol=1e-12)
 
     def test_per_pixel_constant_shift_invariance(self, f64, rng):
         logits = rng.standard_normal((3, 4, 5))
         shift = rng.standard_normal((3, 4, 1))
-        a = probability_volume(ad.tensor(logits)).values.data
-        b = probability_volume(ad.tensor(logits + shift)).values.data
+        a = probability_volume(ad.tensor(logits)).data
+        b = probability_volume(ad.tensor(logits + shift)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matches_direct_softmax(self, f64, rng):
         logits = rng.standard_normal((2, 3, 6))
-        p = probability_volume(ad.tensor(logits)).values.data
+        p = probability_volume(ad.tensor(logits)).data
         e = np.exp(logits - logits.max(axis=2, keepdims=True))
         np.testing.assert_allclose(p, e / e.sum(axis=2, keepdims=True), atol=1e-12)
 
     def test_normalization_invariant(self, f32, rng):
         p = probability_volume(ad.tensor(10 * rng.standard_normal((5, 6, 9))))
-        sums = p.values.data.sum(axis=2)
+        sums = p.data.sum(axis=2)
         assert np.abs(sums - 1).max() < 1e-5
 
 
@@ -127,7 +122,7 @@ class TestCascade:
     def test_probability_normalized_every_stage(self, outputs_and_model):
         _, _, outs = outputs_and_model
         for o in outs:
-            assert np.abs(o.prob.values.data.sum(axis=2) - 1).max() < 1e-5
+            assert np.abs(o.prob.data.sum(axis=2) - 1).max() < 1e-5
 
     def test_wta_membership_every_stage(self, outputs_and_model):
         _, _, outs = outputs_and_model
@@ -136,7 +131,7 @@ class TestCascade:
                 assert np.isin(o.estimate.depth, o.hyps.values).all()
             else:
                 gathered = np.take_along_axis(
-                    o.hyps.values, o.prob.values.data.argmax(axis=2)[..., None],
+                    o.hyps.values, o.prob.data.argmax(axis=2)[..., None],
                     axis=2)[..., 0]
                 np.testing.assert_array_equal(o.estimate.depth, gathered)
 

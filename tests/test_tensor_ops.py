@@ -1,6 +1,8 @@
 """Elementwise/reduction/shape ops and the backward machinery."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvstereo import autodiff as ad
+from mvstereo.autodiff.tensor import make_op
+
+TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 class TestMatmul:
@@ -206,11 +211,82 @@ class TestTape:
         assert len(calls) == 2
         np.testing.assert_array_equal(x.grad, [3.0])
 
+    def test_benchmark_tracer_installs_on_the_model(self, f32):
+        """perfbench/tracing.py wraps program names by attribute; a traced
+        forward and backward of a small model must find every one of them
+        and go through each op wrapper, and uninstall must restore them."""
+        from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
+        from mvstereo.scene import SceneSpec, render_synthetic_scene
+        from mvstereo import training
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        scene = render_synthetic_scene(SceneSpec(height=8, width=8, focal=8.0), seed=0)
+        model = StereoModel(ModelConfig(cascade=CascadeConfig(counts=(8, 6, 4)),
+                                        n_blocks=1, n_heads=2))
+        conv3d = ad.conv3d
+        tracer = tracing.Tracer()
+        tracer.install(model)
+        try:
+            assert ad.conv3d is not conv3d
+            tracer.begin()
+            outputs = model(scene.views)
+            training.cascade_loss(outputs, scene.views[0], training.LossConfig())[0].backward()
+            tracer.end()
+        finally:
+            tracer.uninstall()
+        assert ad.conv3d is conv3d
+        assert tracer.op_mismatches() == []
+        record = tracer.record()
+        for name in ("autodiff.op.conv2d.calls", "autodiff.op.conv3d.calls",
+                     "autodiff.op.conv3d.bwd_s", "regularizer.reg3_s", "regularizer.wta_s",
+                     "training.forward_s", "training.loss_s", "autodiff.tape_nodes"):
+            assert record.get(name, 0) > 0, name
+
     def test_no_grad_records_nothing(self, f64, rng):
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
         with ad.no_grad():
             out = ad.sum_(x * x)
         assert out.node is None and not out.requires_grad
+
+
+def _wrong_square(x):
+    """x**2 with a planted wrong backward: 3x instead of 2x."""
+    return make_op("wrong_square", x.data ** 2, (x,), lambda g: (3.0 * g * x.data,))
+
+
+class TestGradcheck:
+    """``gradcheck`` must fail on a wrong gradient, per tensor and pooled,
+    and must not mistake a kink for one."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_wrong_backward_raises(self, f64, rng, pooled):
+        a = ad.tensor(rng.uniform(0.5, 1.5, size=(3, 4)), requires_grad=True)
+        b = ad.tensor(rng.uniform(0.5, 1.5, size=(5,)), requires_grad=True)
+        with pytest.raises(AssertionError, match="gradient mismatch"):
+            ad.gradcheck(lambda a, b: ad.sum_(_wrong_square(a)) + ad.sum_(_wrong_square(b)),
+                         [a, b], max_entries=4, pooled=pooled)
+
+    def test_pooled_probe_across_an_argmax_flip_is_redrawn(self, f64):
+        # The two entries of ``kinked`` are 3e-6 apart, within h = 1e-5, so
+        # every difference of either one straddles the flip of their max.
+        kinked = ad.tensor([0.0, 3e-6], requires_grad=True)
+        smooth = ad.tensor(np.linspace(0.5, 1.5, 4), requires_grad=True)
+        calls = []
+
+        def f(k, s):
+            calls.append(1)
+            return ad.max_with_argmax(k, axis=0)[0] + ad.sum_(s * s)
+
+        with pytest.raises(AssertionError, match="gradient mismatch"):
+            ad.gradcheck(f, [kinked, smooth])  # per tensor, the kink is a mismatch
+        calls.clear()
+        assert ad.gradcheck(f, [kinked, smooth], max_entries=6, pooled=True) < 1e-4
+        # One evaluation for the gradient, then four per probe drawn.
+        assert (len(calls) - 1) // 4 > 6, "no probe landed on the kink"
+        with pytest.raises(AssertionError, match="enough smooth probe points"):
+            ad.gradcheck(lambda k: ad.max_with_argmax(k, axis=0)[0], [kinked],
+                         max_entries=2, pooled=True)
 
 
 class TestPrecisionAndChecks:

@@ -53,18 +53,26 @@ def conv_input_grad_loop(g, k, in_shape, stride, pad):
     return gp[(slice(None),) + tuple(slice(pad, pad + n) for n in in_shape)]
 
 
+def strided(conv, x, k, stride, pad):
+    """``conv`` (always stride 1), then every ``stride``-th output along each
+    spatial axis: the strided correlation of the loop oracles, taken the way
+    the pyramid and the 3D U-Net subsample, by slicing."""
+    out = conv(x, k, padding=pad)
+    return out[(slice(None),) + (slice(None, None, stride),) * (out.ndim - 1)]
+
+
 def input_grad(conv, x, k, stride, pad, g):
-    """Input gradient of ``sum(conv(x, k) * g)`` through the engine."""
+    """Input gradient of ``sum(strided(conv, x, k) * g)`` through the engine."""
     xt = ad.tensor(x, requires_grad=True)
-    ad.sum_(conv(xt, ad.tensor(k), stride=stride, padding=pad) * ad.tensor(g)).backward()
+    ad.sum_(strided(conv, xt, ad.tensor(k), stride, pad) * ad.tensor(g)).backward()
     return xt.grad
 
 
 def conv_gradcheck(conv, x, k, stride, pad):
-    """Finite-difference check of ``sum(conv(x, k) * c)`` for a fixed random c."""
+    """Finite-difference check of ``sum(strided(conv, x, k) * c)`` for a fixed random c."""
     c = ad.tensor(np.random.default_rng(7).standard_normal(
-        conv(x, k, stride=stride, padding=pad).shape))
-    return ad.gradcheck(lambda x, k: ad.sum_(conv(x, k, stride=stride, padding=pad) * c),
+        strided(conv, x, k, stride, pad).shape))
+    return ad.gradcheck(lambda x, k: ad.sum_(strided(conv, x, k, stride, pad) * c),
                         [x, k], max_entries=24)
 
 
@@ -91,7 +99,7 @@ class TestConvBlocks:
         h_out = ragged_split(c_in * 9 * w_out)
         x = rng.standard_normal((c_in, in_extent(h_out, stride, pad), in_extent(w_out, stride, pad)))
         k = rng.standard_normal((2, c_in, 3, 3))
-        out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=stride, padding=pad)
+        out = strided(ad.conv2d, ad.tensor(x), ad.tensor(k), stride, pad)
         np.testing.assert_allclose(out.data, conv2d_loop(x, k, stride, pad), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
@@ -107,7 +115,7 @@ class TestConvBlocks:
         x = rng.standard_normal((c_in,) + tuple(in_extent(n, stride, pad)
                                                  for n in (d_out, h_out, w_out)))
         k = rng.standard_normal((2, c_in, 3, 3, 3))
-        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=stride, padding=pad)
+        out = strided(ad.conv3d, ad.tensor(x), ad.tensor(k), stride, pad)
         np.testing.assert_allclose(out.data, conv3d_loop(x, k, stride, pad), rtol=1e-12, atol=1e-12)
 
     def test_kernel_gradient_over_blocks(self, f64, rng):
@@ -124,12 +132,12 @@ class TestConvInputGradient:
     flipped, channel-swapped kernel, against float64 per-element loops."""
 
     @pytest.mark.parametrize("conv,k_taps,c_in,in_shape,stride,pad", [
-        (ad.conv2d, (3, 3), 3, (7, 9), 2, 1),  # zero-dilated gradient
+        (ad.conv2d, (3, 3), 3, (7, 9), 2, 1),  # sliced: zero-dilated gradient
         (ad.conv2d, (3, 3), 3, (6, 7), 1, 0),
         (ad.conv2d, (3, 3), 3, (6, 7), 1, 2),  # padding k - 1
         (ad.conv2d, (3, 3), 3, (5, 6), 1, 3),  # padding k: cropped
         (ad.conv2d, (3, 3), 2, (4, 5), 1, 4),
-        (ad.conv2d, (3, 3), 3, (5, 7), 2, 3),  # dilated and cropped
+        (ad.conv2d, (3, 3), 3, (5, 7), 2, 3),  # sliced and cropped
         (ad.conv2d, (3, 3), 1, (6, 7), 1, 1),  # one input channel, as in reg*.c0
         (ad.conv2d, (5, 5), 2, (9, 8), 1, 2),
         (ad.conv2d, (1, 1), 3, (5, 7), 2, 0),
@@ -143,8 +151,7 @@ class TestConvInputGradient:
     def test_matches_loop_oracle(self, f64, rng, conv, k_taps, c_in, in_shape, stride, pad):
         x = rng.standard_normal((c_in,) + in_shape)
         k = rng.standard_normal((3, c_in) + k_taps)
-        g = rng.standard_normal(conv(ad.tensor(x), ad.tensor(k), stride=stride,
-                                     padding=pad).shape)
+        g = rng.standard_normal(strided(conv, ad.tensor(x), ad.tensor(k), stride, pad).shape)
         np.testing.assert_allclose(input_grad(conv, x, k, stride, pad, g),
                                    conv_input_grad_loop(g, k, in_shape, stride, pad),
                                    rtol=1e-12, atol=1e-12)
@@ -189,21 +196,21 @@ class TestConv2d:
     def test_averaging_kernel_on_constant_image(self, f64):
         x = ad.tensor(np.full((1, 6, 7), 3.5))
         k = ad.tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
-        out = ad.conv2d(x, k, stride=1, padding=1)
+        out = ad.conv2d(x, k, padding=1)
         np.testing.assert_allclose(out.data[0, 1:-1, 1:-1], 3.5, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 0)])
     def test_matches_loop_oracle(self, f64, rng, stride, pad):
-        h = stride * 4 + 3 - 2 * pad  # keeps the output extent integral
+        h = stride * 4 + 3 - 2 * pad  # 5 x 5 strided outputs
         x = rng.standard_normal((2, h, h))
         k = rng.standard_normal((3, 2, 3, 3))
-        out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=stride, padding=pad)
+        out = strided(ad.conv2d, ad.tensor(x), ad.tensor(k), stride, pad)
         np.testing.assert_allclose(out.data, conv2d_loop(x, k, stride, pad), atol=1e-6)
 
-    def test_non_integral_output_extent(self, f64):
-        with pytest.raises(ad.DimensionError, match="non-integral"):
-            ad.conv2d(ad.tensor(np.zeros((1, 6, 6))),
-                      ad.tensor(np.zeros((1, 1, 3, 3))), stride=2, padding=1)
+    def test_input_smaller_than_kernel(self, f64):
+        with pytest.raises(ad.DimensionError,
+                           match="conv2d width: extent 2 with padding 0 is smaller than kernel 3"):
+            ad.conv2d(ad.tensor(np.zeros((1, 6, 2))), ad.tensor(np.zeros((1, 1, 3, 3))))
 
     def test_even_kernel_rejected(self, f64):
         with pytest.raises(ad.DimensionError, match="odd"):
@@ -214,13 +221,13 @@ class TestConv2d:
         k = ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((3, 3, 4)))
         worst = ad.gradcheck(
-            lambda x, k: ad.sum_(ad.conv2d(x, k, stride=1, padding=0) * c),
+            lambda x, k: ad.sum_(ad.conv2d(x, k) * c),
             [x, k], max_entries=20)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_gradients_strided_and_padded(self, f64, rng, stride, pad):
-        h = stride * 3 + 3 - 2 * pad  # integral output extents: 4 x 5
+        h = stride * 3 + 3 - 2 * pad  # strided output extents: 4 x 5
         x = ad.tensor(rng.standard_normal((2, h, h + stride)), requires_grad=True)
         k = ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         assert conv_gradcheck(ad.conv2d, x, k, stride, pad) < 1e-4
@@ -237,14 +244,14 @@ class TestConv3d:
     def test_matches_loop_oracle(self, f64, rng):
         x = rng.standard_normal((2, 4, 5, 4))
         k = rng.standard_normal((2, 2, 3, 3, 3))
-        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=1, padding=1)
+        out = ad.conv3d(ad.tensor(x), ad.tensor(k), padding=1)
         np.testing.assert_allclose(out.data, conv3d_loop(x, k, 1, 1), atol=1e-6)
 
     def test_unit_kernel_identity(self, f64, rng):
         x = rng.standard_normal((1, 3, 4, 5))
         k = np.zeros((1, 1, 3, 3, 3))
         k[0, 0, 1, 1, 1] = 1.0
-        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=1, padding=1)
+        out = ad.conv3d(ad.tensor(x), ad.tensor(k), padding=1)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_gradients(self, f64, rng):
@@ -252,7 +259,7 @@ class TestConv3d:
         k = ad.tensor(rng.standard_normal((2, 1, 3, 3, 3)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((2, 4, 4, 4)))
         worst = ad.gradcheck(
-            lambda x, k: ad.sum_(ad.conv3d(x, k, stride=1, padding=1) * c),
+            lambda x, k: ad.sum_(ad.conv3d(x, k, padding=1) * c),
             [x, k], max_entries=16)
         assert worst < 1e-4
 
@@ -260,12 +267,12 @@ class TestConv3d:
     def test_matches_loop_oracle_stride_2(self, f64, rng, pad):
         x = rng.standard_normal((2, 5, 7, 5))
         k = rng.standard_normal((3, 2, 3, 3, 3))
-        out = ad.conv3d(ad.tensor(x), ad.tensor(k), stride=2, padding=pad)
+        out = strided(ad.conv3d, ad.tensor(x), ad.tensor(k), 2, pad)
         np.testing.assert_allclose(out.data, conv3d_loop(x, k, 2, pad), atol=1e-6)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_gradients_strided_and_padded(self, f64, rng, stride, pad):
-        d = stride * 2 + 3 - 2 * pad  # integral output extents: 3 x 4 x 3
+        d = stride * 2 + 3 - 2 * pad  # strided output extents: 3 x 4 x 3
         x = ad.tensor(rng.standard_normal((2, d, d + stride, d)), requires_grad=True)
         k = ad.tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=True)
         assert conv_gradcheck(ad.conv3d, x, k, stride, pad) < 1e-4
@@ -281,13 +288,6 @@ class TestConv3d:
 class TestConvArguments:
     """Bad arguments to either conv give a DimensionError naming the op
     and the value, not a numpy error from inside the lowering."""
-
-    @pytest.mark.parametrize("conv,nd", [(ad.conv2d, 2), (ad.conv3d, 3)])
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_non_positive_stride_rejected(self, f64, conv, nd, stride):
-        with pytest.raises(ad.DimensionError, match=rf"{conv.__name__} stride .* got {stride}"):
-            conv(ad.tensor(np.zeros((1,) + (5,) * nd)), ad.tensor(np.zeros((1, 1) + (3,) * nd)),
-                 stride=stride)
 
     @pytest.mark.parametrize("conv,nd", [(ad.conv2d, 2), (ad.conv3d, 3)])
     def test_zero_input_channels_rejected(self, f64, conv, nd):

@@ -55,7 +55,7 @@ class TestFocalLoss:
         gt = rng.uniform(1.0, 3.0, size=(5, 6))
         mask = rng.random((5, 6)) > 0.3
         loss = focal_loss(prob, gt, hyps, mask, gamma=0.0)
-        p = prob.values.data
+        p = prob.data
         target = np.abs(hyps.values[None, None] - gt[..., None]).argmin(axis=2)
         sel = np.take_along_axis(p, target[..., None], axis=2)[..., 0]
         ce = -(np.log(np.maximum(sel, 1e-12))[mask]).mean()
@@ -68,7 +68,7 @@ class TestFocalLoss:
         mask = rng.random((4, 5)) > 0.25
         for gamma in (0.0, 1.0, 2.0):
             loss = focal_loss(prob, gt, hyps, mask, gamma)
-            expected = focal_loop(prob.values.data, gt, hyps, mask, gamma)
+            expected = focal_loop(prob.data, gt, hyps, mask, gamma)
             np.testing.assert_allclose(float(loss.data), expected, atol=1e-6)
 
     def test_perfect_prediction_gives_zero(self, f64):
