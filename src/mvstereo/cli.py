@@ -58,6 +58,9 @@ def cmd_synth(args) -> int:
     from .fileio import save_scene
     from .scene import render_synthetic_scene
 
+    if args.scenes < 1:
+        print(f"error: --scenes {args.scenes} must be at least 1", file=sys.stderr)
+        return 2
     cfg = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,6 +281,9 @@ def cmd_gradcheck(args) -> int:
     if args.scope != "all" and args.scope not in GRAD_CHECKS:
         print(f"error: unknown --scope {args.scope!r}; valid: all, {', '.join(GRAD_CHECKS)}",
               file=sys.stderr)
+        return 2
+    if args.instances < 1:
+        print(f"error: --instances {args.instances} must be at least 1", file=sys.stderr)
         return 2
     names = list(GRAD_CHECKS) if args.scope == "all" else [args.scope]
     ok = run_suite(names, instances=args.instances, base_seed=args.seed)

@@ -10,6 +10,7 @@ surface point and the same color up to Lambertian shading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +44,16 @@ class SceneSpec:
     jitter: float = 0.0                  # per-seed geometry variation amplitude
     parallel_rig: bool = False           # translate-only cameras (no look-at)
     supersample: int = 2                 # image anti-aliasing factor (depth stays exact)
+
+    def __post_init__(self):
+        for name, least in (("height", 1), ("width", 1), ("n_views", 2), ("supersample", 1)):
+            if getattr(self, name) < least:
+                raise ContractError(f"scene {name} must be at least {least}, "
+                                    f"got {getattr(self, name)}")
+        for name in ("focal", "noise_freq", "checker_size"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractError(f"scene {name} must be finite and positive, got {value}")
 
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.focal, self.focal,
@@ -82,23 +93,42 @@ def _hash_lattice(ix, iy, iz, seed: int) -> np.ndarray:
     return (s * 43758.5453) % 1.0
 
 
-def _value_noise(points: np.ndarray, freq: float, seed: int) -> np.ndarray:
-    """Trilinearly interpolated lattice noise, one octave, output in [0, 1)."""
-    p = points * freq
+def _lattice_cells(i0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct integer-lattice cells among the columns of ``i0`` (3, N).
+
+    Returns the cells (3, M) and each column's index into them. A cell's key
+    packs its per-axis offsets to the minimum, so no two cells share a key.
+    """
+    lo = i0.min(axis=1, keepdims=True)
+    span = i0.max(axis=1) - lo[:, 0] + 1
+    if not np.prod(span) < 2.0 ** 62:      # also false for non-finite points
+        raise ContractError(f"texture lattice spans {span} cells; surface points "
+                            "are non-finite or too far from the cameras")
+    key = np.ravel_multi_index((i0 - lo).astype(np.int64), span.astype(np.int64))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return i0[:, first], inverse
+
+
+def _value_noise(points: np.ndarray, freq: float, seeds: list[int]) -> np.ndarray:
+    """Trilinearly interpolated lattice noise, one octave per seed: (len(seeds), ...) in [0, 1).
+
+    The lattice is built once and shared by the seeds, so each seed hashes
+    only the corners of the distinct cells and every point gathers its own.
+    """
+    p = np.ascontiguousarray((points * freq).reshape(-1, 3).T)
     i0 = np.floor(p)
     f = p - i0
     t = f * f * (3.0 - 2.0 * f)
-    acc = np.zeros(points.shape[:-1])
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                corner = _hash_lattice(i0[..., 0] + dx, i0[..., 1] + dy,
-                                       i0[..., 2] + dz, seed)
-                wx = t[..., 0] if dx else 1.0 - t[..., 0]
-                wy = t[..., 1] if dy else 1.0 - t[..., 1]
-                wz = t[..., 2] if dz else 1.0 - t[..., 2]
-                acc += corner * wx * wy * wz
-    return acc
+    weights = (1.0 - t, t)
+    (cx, cy, cz), inverse = _lattice_cells(i0)
+    out = np.zeros((len(seeds), p.shape[1]))
+    for acc, seed in zip(out, seeds):
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    corner = _hash_lattice(cx + dx, cy + dy, cz + dz, seed)[inverse]
+                    acc += corner * weights[dx][0] * weights[dy][1] * weights[dz][2]
+    return out.reshape(len(seeds), *points.shape[:-1])
 
 
 def _albedo(points: np.ndarray, spec: SceneSpec, seed: int) -> np.ndarray:
@@ -108,12 +138,9 @@ def _albedo(points: np.ndarray, spec: SceneSpec, seed: int) -> np.ndarray:
     color_a = np.array([0.9, 0.62, 0.25])
     color_b = np.array([0.18, 0.4, 0.85])
     base = checker[None] * color_a[:, None, None] + (1 - checker)[None] * color_b[:, None, None]
-    chans = []
-    for c in range(3):
-        n1 = _value_noise(points, spec.noise_freq, seed + 11 * c)
-        n2 = _value_noise(points, spec.noise_freq * 3.1, seed + 11 * c + 5)
-        chans.append(0.65 * n1 + 0.35 * n2)
-    noise = np.stack(chans)
+    n1 = _value_noise(points, spec.noise_freq, [seed + 11 * c for c in range(3)])
+    n2 = _value_noise(points, spec.noise_freq * 3.1, [seed + 11 * c + 5 for c in range(3)])
+    noise = 0.65 * n1 + 0.35 * n2
     return np.clip(base + 0.55 * (noise - 0.5), 0.02, 1.0)
 
 

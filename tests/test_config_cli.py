@@ -304,6 +304,35 @@ class TestCliPipeline:
         assert "'bogus'" in result.stderr
         assert "all, matmul, conv2d" in result.stderr and "cascade_loss" in result.stderr
 
+    @pytest.mark.parametrize("args, scene_key, named", [
+        (("synth", "--scenes", "0"), None, "--scenes 0"),
+        (("synth", "--scenes", "-2"), None, "--scenes -2"),
+        (("gradcheck", "--scope", "matmul", "--instances", "0"), None, "--instances 0"),
+        (("gradcheck", "--scope", "matmul", "--instances", "-2"), None, "--instances -2"),
+        (("synth",), "supersample = 0", "supersample"),
+        (("synth",), "supersample = -3", "supersample"),
+        (("synth",), "height = 0", "height"),
+        (("synth",), "width = 0", "width"),
+        (("synth",), "n_views = 0", "n_views"),
+        (("synth",), "n_views = 1", "n_views"),
+        (("synth",), "noise_freq = nan", "noise_freq"),
+        (("synth",), "focal = -70", "focal"),
+        (("synth",), "checker_size = inf", "checker_size")])
+    def test_bad_count_or_scene_exits_2(self, tmp_path, args, scene_key, named):
+        """Each probe exits 2 with one line naming the problem, and writes nothing."""
+        extra = ()
+        if args[0] == "synth":
+            extra = ("--out", str(tmp_path / "o"))
+        if scene_key is not None:
+            cfg = tmp_path / "scene.cfg"
+            cfg.write_text(f"[scene]\n{scene_key}\n")
+            extra += ("--config", str(cfg))
+        result = run_cli(*args, *extra)
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert named in result.stderr
+        assert result.stdout == "" and not (tmp_path / "o").exists()
+
     def test_bench_attention_small(self, tmp_path):
         out = tmp_path / "bench.csv"
         result = run_cli("bench-attention", "--lengths", "64,128,256",

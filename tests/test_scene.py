@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mvstereo import scene as scene_module
 from mvstereo.autodiff import ContractError
 from mvstereo.cameras import backproject_pixels, project_points, warp_pixel
 from mvstereo.scene import SceneSpec, covisible_mask, render_synthetic_scene
@@ -93,3 +94,77 @@ class TestDeterminismAndTexture:
         pts = backproject_pixels(view.intrinsics, view.extrinsics,
                                  np.stack([xs, ys], axis=-1), view.depth)
         assert scene.surface_distance(pts[view.mask]).max() < 1e-9
+
+
+def _reference_value_noise(points, freq, seed):
+    """One octave of lattice noise with every point hashing its own eight corners."""
+    p = points * freq
+    i0 = np.floor(p)
+    f = p - i0
+    t = f * f * (3.0 - 2.0 * f)
+    acc = np.zeros(points.shape[:-1])
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                corner = scene_module._hash_lattice(i0[..., 0] + dx, i0[..., 1] + dy,
+                                                    i0[..., 2] + dz, seed)
+                wx = t[..., 0] if dx else 1.0 - t[..., 0]
+                wy = t[..., 1] if dy else 1.0 - t[..., 1]
+                wz = t[..., 2] if dz else 1.0 - t[..., 2]
+                acc += corner * wx * wy * wz
+    return acc
+
+
+def _reference_albedo(points, spec, seed):
+    """The surface color computed one channel and one octave at a time."""
+    cell = np.floor(points / spec.checker_size).sum(axis=-1)
+    checker = (cell % 2.0 == 0).astype(np.float64)
+    color_a = np.array([0.9, 0.62, 0.25])
+    color_b = np.array([0.18, 0.4, 0.85])
+    base = checker[None] * color_a[:, None, None] + (1 - checker)[None] * color_b[:, None, None]
+    chans = []
+    for c in range(3):
+        n1 = _reference_value_noise(points, spec.noise_freq, seed + 11 * c)
+        n2 = _reference_value_noise(points, spec.noise_freq * 3.1, seed + 11 * c + 5)
+        chans.append(0.65 * n1 + 0.35 * n2)
+    noise = np.stack(chans)
+    return np.clip(base + 0.55 * (noise - 0.5), 0.02, 1.0)
+
+
+class TestTextureLattice:
+    @pytest.mark.parametrize("kind, supersample, jitter, seed", [
+        ("plane", 2, 0.0, 3), ("sphere", 2, 0.12, 1500),
+        ("plane", 1, 0.12, 2**31 - 2), ("sphere", 1, 0.0, 1031)])
+    def test_render_bit_identical_to_per_point_hashing(self, monkeypatch, kind,
+                                                       supersample, jitter, seed):
+        spec = SceneSpec(kind=kind, height=24, width=32, focal=28.0,
+                         supersample=supersample, jitter=jitter)
+        shared = render_synthetic_scene(spec, seed)
+        monkeypatch.setattr(scene_module, "_albedo", _reference_albedo)
+        reference = render_synthetic_scene(spec, seed)
+        for a, b in zip(shared.views, reference.views):
+            assert np.array_equal(a.image, b.image)
+            assert np.array_equal(a.depth, b.depth)
+
+    def test_cells_are_distinct_and_cover_every_point(self, rng):
+        i0 = rng.integers(-40, 40, size=(3, 5000)).astype(np.float64)
+        i0[2] *= 1000.0
+        cells, inverse = scene_module._lattice_cells(i0)
+        assert np.array_equal(cells[:, inverse], i0)
+        assert np.unique(cells, axis=1).shape == cells.shape
+
+    @pytest.mark.parametrize("far", [np.nan, np.inf, 1e20])
+    def test_unkeyable_lattice_is_named(self, far):
+        i0 = np.array([[0.0, far], [0.0, far], [0.0, far]])
+        with pytest.raises(ContractError, match="texture lattice"):
+            scene_module._lattice_cells(i0)
+
+
+class TestSceneSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("height", 0), ("width", -1), ("n_views", 0), ("n_views", 1),
+        ("supersample", 0), ("supersample", -3), ("focal", 0.0), ("focal", np.inf),
+        ("noise_freq", np.nan), ("noise_freq", -9.0), ("checker_size", 0.0)])
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(ContractError, match=f"scene {field} must be"):
+            SceneSpec(**{field: value})
