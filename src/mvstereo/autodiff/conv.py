@@ -10,12 +10,14 @@ product. Forward, kernel gradient and input gradient all walk this one
 block iterator. Forward writes ``w_mat @ cols`` into each block's output
 columns. The patch matrix is not kept for backward: the kernel gradient
 walks the input's blocks again, and only when the kernel requires a
-gradient. There is no col2im: the input gradient is itself a forward conv,
-of the output gradient (padded by k-1-pad on each side, or cropped where
-that is negative) with the kernel flipped over its taps and its in and out
-channels swapped (Dumoulin & Visin 2016, sec. 4). Every conv has stride 1;
-the pyramid and the 3D U-Net subsample by slicing. An input smaller than
-its kernel (after padding) raises a DimensionError.
+gradient, so the node keeps the input only then (and the kernel only
+when the input requires a gradient). There is no col2im: the input
+gradient is itself a forward conv, of the output gradient (padded by
+k-1-pad on each side, or cropped where that is negative) with the kernel
+flipped over its taps and its in and out channels swapped (Dumoulin &
+Visin 2016, sec. 4). Every conv has stride 1; the pyramid and the 3D
+U-Net subsample by slicing. An input smaller than its kernel (after
+padding) raises a DimensionError.
 """
 
 from __future__ import annotations
@@ -112,25 +114,30 @@ def _conv(name: str, nd: int, input, kernel, padding: int):
                      for n, axis in zip(spatial, _AXES[3 - nd:]))
     rows = c_in * k ** nd
     out = _forward(w.data.reshape(c_out, rows), x.data, k, p, out_dims)
+    # The kernel gradient reads the input and the input gradient reads the
+    # kernel; each is kept only when the other side needs its gradient.
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
+    w_shape, w_dtype = w.shape, w.dtype
 
     def backward(g):
         gx = gw = None
-        if w.requires_grad:
+        if x_data is not None:
             # Accumulated transposed: cols @ g.T runs about twice as fast in
             # BLAS as g @ cols.T at these block shapes.
             g_mat = g.reshape(c_out, -1)
-            gw_t = np.zeros((rows, c_out), dtype=w.dtype)
-            for cols_at, cols in _blocks(x.data, k, p, out_dims):
+            gw_t = np.zeros((rows, c_out), dtype=w_dtype)
+            for cols_at, cols in _blocks(x_data, k, p, out_dims):
                 gw_t += cols @ g_mat[:, cols_at].T
-            gw = gw_t.T.reshape(w.shape)
-        if x.requires_grad:
+            gw = gw_t.T.reshape(w_shape)
+        if w_data is not None:
             # Output o reads input o + tap - p, so input i gets g[o] * w[tap]
             # wherever o + tap = i + p: the correlation of the gradient,
             # padded by k-1-p on each side (cropped where that is negative),
             # with the flipped kernel. That leaves exactly n outputs per axis.
             crop = max(0, p + 1 - k)
             g_in = g[(slice(None),) + tuple(slice(crop, m - crop) for m in g.shape[1:])]
-            w_flip = np.flip(w.data, axis=tuple(range(2, nd + 2))).swapaxes(0, 1)
+            w_flip = np.flip(w_data, axis=tuple(range(2, nd + 2))).swapaxes(0, 1)
             gx = _forward(w_flip.reshape(c_in, c_out * k ** nd), g_in, k,
                           max(0, k - 1 - p), spatial)
         return gx, gw

@@ -22,48 +22,55 @@ __all__ = [
 ]
 
 
-def _binary(op, a, b, fwd, bwd_a, bwd_b):
+def _binary(op, a, b, fwd, grad_a, grad_b):
+    """``grad_a(x, y, out)`` and ``grad_b(x, y, out)`` return each side's
+    gradient rule, a function of the output gradient alone. A rule is built
+    only for a side that requires grad, so the node keeps only the arrays
+    that side's rule closes over."""
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = fwd(a.data, b.data)
+    rule_a = grad_a(a.data, b.data, out) if a.requires_grad else None
+    rule_b = grad_b(a.data, b.data, out) if b.requires_grad else None
+    shape_a, shape_b = a.shape, b.shape
 
     def backward(g):
-        ga = unbroadcast(bwd_a(g, a.data, b.data, out), a.shape) if a.requires_grad else None
-        gb = unbroadcast(bwd_b(g, a.data, b.data, out), b.shape) if b.requires_grad else None
-        return ga, gb
+        return (unbroadcast(rule_a(g), shape_a) if rule_a else None,
+                unbroadcast(rule_b(g), shape_b) if rule_b else None)
 
     return make_op(op, out, (a, b), backward)
 
 
+def _identity(x, y, o):
+    """The rule of a side that gets the output gradient unchanged."""
+    return lambda g: g
+
+
 def add(a, b):
-    return _binary("add", a, b, np.add,
-                   lambda g, x, y, o: g,
-                   lambda g, x, y, o: g)
+    return _binary("add", a, b, np.add, _identity, _identity)
 
 
 def sub(a, b):
-    return _binary("sub", a, b, np.subtract,
-                   lambda g, x, y, o: g,
-                   lambda g, x, y, o: -g)
+    return _binary("sub", a, b, np.subtract, _identity, lambda x, y, o: lambda g: -g)
 
 
 def mul(a, b):
     return _binary("mul", a, b, np.multiply,
-                   lambda g, x, y, o: g * y,
-                   lambda g, x, y, o: g * x)
+                   lambda x, y, o: lambda g: g * y,
+                   lambda x, y, o: lambda g: g * x)
 
 
 def div(a, b):
     return _binary("div", a, b, np.divide,
-                   lambda g, x, y, o: g / y,
-                   lambda g, x, y, o: -g * o / y)
+                   lambda x, y, o: lambda g: g / y,
+                   lambda x, y, o: lambda g: -g * o / y)
 
 
 def maximum(a, b):
     """Elementwise max; on ties the gradient routes to the first argument."""
     return _binary("maximum", a, b, np.maximum,
-                   lambda g, x, y, o: g * (x >= y),
-                   lambda g, x, y, o: g * (y > x))
+                   lambda x, y, o: lambda g: g * (x >= y),
+                   lambda x, y, o: lambda g: g * (y > x))
 
 
 def neg(a):
@@ -75,12 +82,13 @@ def pow_const(a, exponent):
     """a ** p for a constant exponent p (gradient w.r.t. the base only)."""
     a = as_tensor(a)
     p = float(exponent)
-    out = a.data ** p
+    x = a.data
+    out = x ** p
 
     def backward(g):
         if p == 0.0:
-            return (np.zeros_like(a.data),)
-        return (g * p * a.data ** (p - 1.0),)
+            return (np.zeros_like(x),)
+        return (g * p * x ** (p - 1.0),)
 
     return make_op("pow", out, (a,), backward)
 
@@ -93,7 +101,8 @@ def exp(a):
 
 def log(a):
     a = as_tensor(a)
-    return make_op("log", np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return make_op("log", np.log(x), (a,), lambda g: (g / x,))
 
 
 def sqrt(a):
@@ -103,19 +112,24 @@ def sqrt(a):
 
 
 def relu(a):
+    """max(a, 0); backward reads only the output, since out > 0 exactly where a > 0."""
     a = as_tensor(a)
-    return make_op("relu", np.maximum(a.data, 0), (a,),
-                   lambda g: (g * (a.data > 0),))
+    out = np.maximum(a.data, 0)
+    return make_op("relu", out, (a,), lambda g: (g * (out > 0),))
 
 
 def elu(a):
-    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise."""
+    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise.
+
+    Backward reads only the output: out > 0 exactly where a > 0, and
+    elsewhere out is exp(a) - 1, so its slope there is out + 1.
+    """
     a = as_tensor(a)
     neg_part = np.expm1(np.minimum(a.data, 0))
     out = np.where(a.data > 0, a.data, neg_part)
 
     def backward(g):
-        return (g * np.where(a.data > 0, 1.0, neg_part + 1.0),)
+        return (g * np.where(out > 0, 1.0, out + 1.0),)
 
     return make_op("elu", out, (a,), backward)
 
@@ -129,13 +143,14 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
     out = a.data @ b.data
+    # Each side keeps the other operand only when it needs a gradient.
+    y = b.data if a.requires_grad else None
+    x = a.data if b.requires_grad else None
+    shape_a, shape_b = a.shape, b.shape
 
     def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = None if y is None else unbroadcast(g @ np.swapaxes(y, -1, -2), shape_a)
+        gb = None if x is None else unbroadcast(np.swapaxes(x, -1, -2) @ g, shape_b)
         return ga, gb
 
     return make_op("matmul", out, (a, b), backward)
@@ -144,7 +159,8 @@ def matmul(a, b):
 def reshape(a, shape):
     a = as_tensor(a)
     out = a.data.reshape(shape)
-    return make_op("reshape", out, (a,), lambda g: (g.reshape(a.shape),))
+    source = a.shape
+    return make_op("reshape", out, (a,), lambda g: (g.reshape(source),))
 
 
 def flatten(a):
@@ -175,9 +191,10 @@ def getitem(a, key):
     a = as_tensor(a)
     out = a.data[key]
     basic = _is_basic_index(key)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         if basic:
             full[key] = g  # basic keys never repeat an element
         else:
@@ -196,7 +213,7 @@ def concat(tensors, axis=0):
     def backward(g):
         slicer = [builtins.slice(None)] * g.ndim
         grads = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             slicer[axis] = builtins.slice(offsets[i], offsets[i + 1])
             grads.append(g[tuple(slicer)])
         return grads
@@ -207,9 +224,10 @@ def concat(tensors, axis=0):
 def stack(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def backward(g):
-        return [np.take(g, i, axis=axis) for i in range(len(tensors))]
+        return [np.take(g, i, axis=axis) for i in range(count)]
 
     return make_op("stack", out, tensors, backward)
 
@@ -219,9 +237,10 @@ def take_along_axis(a, indices: np.ndarray, axis: int):
     a = as_tensor(a)
     idx = np.asarray(indices)
     out = np.take_along_axis(a.data, idx, axis=axis)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.put_along_axis(full, idx, g, axis=axis)
         return (full,)
 
@@ -240,13 +259,12 @@ def sum_(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return make_op("sum", np.asarray(out), (a,), backward)
 
@@ -268,9 +286,10 @@ def max_with_argmax(a, axis: int):
     axis = _check_axis(axis, a.ndim)
     idx = np.argmax(a.data, axis=axis)
     out = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.put_along_axis(full, np.expand_dims(idx, axis),
                           np.expand_dims(g, axis), axis=axis)
         return (full,)
@@ -304,7 +323,6 @@ def layer_norm(a, axis: int = -1, eps: float = 1e-5):
     out = centered * inv
 
     def backward(g):
-        n = a.shape[ax]
         g_mean = g.mean(axis=ax, keepdims=True)
         gy_mean = (g * out).mean(axis=ax, keepdims=True)
         return ((g - g_mean - out * gy_mean) * inv,)

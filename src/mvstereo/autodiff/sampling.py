@@ -14,6 +14,8 @@ gradient walks the same blocks, reducing each gathered corner against the
 output gradient over channels. The corner indices, blend fractions and
 mask are computed once per call and kept for backward, and the image
 gradient scatters the whole call one channel at a time with ``np.bincount``.
+Backward keeps the input's values only when the grid requires a gradient;
+the homography warps sample along constant grids and keep none.
 """
 
 from __future__ import annotations
@@ -56,37 +58,36 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     offsets = (0, 1, w, w + 1)  # flat offsets of corners 00, 01, 10, 11
     batch_nd = g_t.ndim - 3
     lead, n = math.prod(g_t.shape[:batch_nd]), math.prod(g_t.shape[batch_nd:-1])
-    # (leading index, sample) views of what backward keeps: only i00, wx,
-    # wy and the mask; corner values and blend weights are gathered or
-    # recomputed there.
+    # (leading index, sample) views of what backward always keeps: i00, wx,
+    # wy and the mask; blend weights are recomputed there, and corner values
+    # gathered again for the grid gradient.
     i00_2d, wx_2d, wy_2d, valid_2d = (a.reshape(lead, n) for a in (i00, wx, wy, valid))
     flat = x_t.data.reshape(c, h * w)
-
-    # The indices are in range, so mode="clip" changes no value; it lets
-    # ``take`` write straight into ``out`` instead of through a buffered copy.
-    def gather(corners, out):
-        return flat.take(corners, axis=1, out=out, mode="clip")
+    dtype, grid_shape = x_t.dtype, g_t.shape
+    # Only the grid gradient reads the input's values.
+    kept = flat if g_t.requires_grad else None
+    image_wanted = x_t.requires_grad
 
     # Blend ((v00*w00 + v01*w01) + v10*w10) + v11*w11 in place, block by
     # block, straight into the output's [C, samples] slices.
-    out = np.empty((lead, c, n), dtype=x_t.dtype)
-    for b, at, corner in _blocks(lead, n, c, x_t.dtype):
+    out = np.empty((lead, c, n), dtype=dtype)
+    for b, at, corner in _blocks(lead, n, c, dtype):
         i00_b, dst = i00_2d[b, at], out[b, :, at]
         weights = _blend_weights(wx_2d[b, at], wy_2d[b, at], valid_2d[b, at])
-        np.multiply(gather(i00_b + offsets[0], corner), next(weights), out=dst)
+        np.multiply(_gather(flat, i00_b + offsets[0], corner), next(weights), out=dst)
         for offset, w_k in zip(offsets[1:], weights):
-            dst += np.multiply(gather(i00_b + offset, corner), w_k, out=corner)
-    out = out.reshape(g_t.shape[:batch_nd] + (c,) + g_t.shape[batch_nd:-1])
+            dst += np.multiply(_gather(flat, i00_b + offset, corner), w_k, out=corner)
+    out = out.reshape(grid_shape[:batch_nd] + (c,) + grid_shape[batch_nd:-1])
 
     def image_grad(gc):
         # One scatter per channel over all four corners: its [H*W] output
         # stays in cache, where a [C*H*W] one would not.
         idx = np.add.outer(offsets, i00).ravel()
-        wgt = np.empty((4,) + i00.shape, dtype=x_t.dtype)
+        wgt = np.empty((4,) + i00.shape, dtype=dtype)
         for row, w_k in zip(wgt, _blend_weights(wx, wy, valid)):
             row[...] = w_k
         scaled = np.empty(wgt.shape, dtype=np.float64)
-        gx_in = np.empty((c, h * w), dtype=x_t.dtype)
+        gx_in = np.empty((c, h * w), dtype=dtype)
         for ch in range(c):
             np.multiply(wgt, gc[ch], out=scaled)
             gx_in[ch] = np.bincount(idx, weights=scaled.ravel(), minlength=h * w)
@@ -96,24 +97,34 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
         # The blend is linear in the corners, so each corner is reduced
         # against g over channels first: a_k = sum_c g_c * v_k,c.
         g_3d = g.reshape(lead, c, n)
-        grad = np.empty((lead, n, 2), dtype=np.result_type(g, x_t.dtype))
-        for b, at, corner in _blocks(lead, n, c, x_t.dtype):
+        grad = np.empty((lead, n, 2), dtype=np.result_type(g, dtype))
+        for b, at, corner in _blocks(lead, n, c, dtype):
             a00, a01, a10, a11 = (
-                np.einsum("cn,cn->n", g_3d[b, :, at], gather(i00_2d[b, at] + offset, corner))
+                np.einsum("cn,cn->n", g_3d[b, :, at],
+                          _gather(kept, i00_2d[b, at] + offset, corner))
                 for offset in offsets)
             wx_b, wy_b = wx_2d[b, at], wy_2d[b, at]
-            vf = valid_2d[b, at].astype(x_t.dtype)
+            vf = valid_2d[b, at].astype(dtype)
             grad[b, at, 0] = vf * ((1 - wy_b) * (a01 - a00) + wy_b * (a11 - a10))
             grad[b, at, 1] = vf * ((1 - wx_b) * (a10 - a00) + wx_b * (a11 - a01))
-        return grad.reshape(g_t.shape)
+        return grad.reshape(grid_shape)
 
     def backward(g):
-        return (image_grad(np.moveaxis(g, batch_nd, 0)) if x_t.requires_grad else None,
-                grid_grad(g) if g_t.requires_grad else None)
+        return (image_grad(np.moveaxis(g, batch_nd, 0)) if image_wanted else None,
+                grid_grad(g) if kept is not None else None)
 
     # The caller gets its own mask: backward reads ``valid``, so a caller
     # editing the returned mask in place must not change the gradients.
     return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
+
+
+def _gather(flat: np.ndarray, corners: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Columns ``corners`` of ``flat`` [C, H*W], written into ``out``.
+
+    The indices are in range, so mode="clip" changes no value; it lets
+    ``take`` write straight into ``out`` instead of through a buffered copy.
+    """
+    return flat.take(corners, axis=1, out=out, mode="clip")
 
 
 def _blocks(lead: int, n: int, c: int, dtype):

@@ -5,12 +5,17 @@ buffer, every differentiable operation attaches a ``Node`` describing how
 to push gradients to its inputs, and ``Tape.trace`` linearizes the graph
 reachable from a scalar loss into topological order for the backward walk.
 
-References point one way only, from an op's output to its inputs
-(``Tensor.node`` -> ``Node.inputs``); a node knows its output by identity
-and shape, not by reference. The graph of a step is therefore acyclic and
-owned by its root: dropping the loss frees every node, saved activation
-and closure by reference counting, without waiting for the cyclic garbage
-collector.
+A node owns only what its gradient rule reads. Its ``inputs`` are edges,
+not tensors: the producer ``Node`` of a non-leaf input, the ``Tensor``
+itself for a leaf that requires grad, and ``None`` for a constant. Its
+``backward_fn`` closure keeps the arrays its formula reads (an operand's
+values, its own output, indices) and nothing else, so an intermediate
+tensor that no formula reads is freed as soon as the forward drops it.
+References point one way only, from an op's output to the nodes and
+leaves below it (``Tensor.node`` -> ``Node.inputs``). The graph of a step
+is therefore acyclic and owned by its root: dropping the loss frees every
+node, saved array and closure by reference counting, without waiting for
+the cyclic garbage collector.
 
 Element precision (float32 or float64) is a process-global switch so the
 same code can run finite-difference checks in 64-bit and training in
@@ -112,30 +117,33 @@ def nan_checks_enabled() -> bool:
 
 
 class Node:
-    """One recorded operation: its inputs, its output's identity, and its gradient rule.
+    """One recorded operation: edges to its inputs, its output's shape and
+    dtype, and its gradient rule.
 
-    ``backward_fn`` receives the gradient w.r.t. the node's output and
-    returns one gradient array (or None) per input, already shaped like
-    that input's buffer.
+    ``inputs`` holds one edge per input: the producer ``Node`` of a
+    non-leaf, the ``Tensor`` itself for a leaf that requires grad, or
+    ``None`` for a constant. ``backward_fn`` receives the gradient w.r.t.
+    the node's output and returns one gradient array (or None) per input,
+    already shaped like that input's buffer.
 
-    Ownership: the output tensor owns its node and the node owns its
-    inputs, never the reverse, so the root loss owns the whole graph and
-    dropping the loss frees it by reference count. The node keeps only the
-    output's ``id`` (the key ``Tape.backward`` routes gradients by) and
-    shape; every output in a traced tape stays alive through its
-    consumers' ``inputs`` as long as the root does. ``backward_fn`` may
-    read its inputs' buffers instead of saving copies, so those buffers
-    must not be mutated in place between forward and backward.
+    Ownership: the output tensor owns its node, the node owns its edges and
+    its closure, and the closure owns only the arrays its formula reads,
+    never the reverse; the root loss owns the whole graph and dropping the
+    loss frees it by reference count. ``Tape.backward`` routes gradients by
+    producer node and casts each to that node's ``out_dtype``. A closure may
+    keep an input's buffer instead of a copy, so buffers must not be
+    mutated in place between forward and backward.
     """
 
-    __slots__ = ("op", "inputs", "out_id", "out_shape", "backward_fn")
+    __slots__ = ("op", "inputs", "out_shape", "out_dtype", "backward_fn")
 
     def __init__(self, op: str, inputs: Sequence["Tensor"], output: "Tensor",
                  backward_fn: Callable[[np.ndarray], Iterable[np.ndarray | None]]):
         self.op = op
-        self.inputs = tuple(inputs)
-        self.out_id = id(output)
+        self.inputs = tuple(t.node if t.node is not None else t if t.requires_grad else None
+                            for t in inputs)
         self.out_shape = output.shape
+        self.out_dtype = output.dtype
         self.backward_fn = backward_fn
 
     def __repr__(self):
@@ -312,36 +320,38 @@ class Tape:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for t in node.inputs:
-                child = t.node
-                if child is not None and id(child) not in visited:
-                    stack.append((child, False))
+            for edge in node.inputs:
+                if isinstance(edge, Node) and id(edge) not in visited:
+                    stack.append((edge, False))
         return cls(nodes)
 
     def backward(self, root: Tensor, seed: np.ndarray | None = None) -> None:
         if seed is None:
             seed = np.ones_like(root.data)
-        # Output gradients keyed by tensor identity; leaves accumulate into .grad.
-        pending: dict[int, np.ndarray] = {id(root): np.asarray(seed, dtype=root.dtype)}
-        if root.requires_grad and root.node is None:
-            root.accumulate_grad(pending[id(root)])
+        seed = np.asarray(seed, dtype=root.dtype)
+        if root.node is None:
+            if root.requires_grad:
+                root.accumulate_grad(seed)
+            return
+        # Output gradients keyed by producer node; leaves accumulate into .grad.
+        pending: dict[int, np.ndarray] = {id(root.node): seed}
         for node in reversed(self.nodes):
-            g_out = pending.pop(node.out_id, None)
+            g_out = pending.pop(id(node), None)
             if g_out is None:
                 continue
             grads = node.backward_fn(g_out)
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
+            for edge, g in zip(node.inputs, grads):
+                if g is None or edge is None:
                     continue
-                g = np.asarray(g, dtype=inp.dtype)
-                if inp.node is None:
-                    inp.accumulate_grad(g)
-                else:
-                    key = id(inp)
+                if isinstance(edge, Node):
+                    g = np.asarray(g, dtype=edge.out_dtype)
+                    key = id(edge)
                     if key in pending:
                         pending[key] = pending[key] + g
                     else:
                         pending[key] = g
+                else:
+                    edge.accumulate_grad(np.asarray(g, dtype=edge.dtype))
 
 
 def make_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],

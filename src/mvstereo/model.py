@@ -26,6 +26,10 @@ __all__ = ["CascadeConfig", "ModelConfig", "StageOutput", "StereoModel"]
 
 STAGE_SCALES = (0.25, 0.5, 1.0)
 
+# Model config fields that change what the model computes but no parameter
+# shape; a checkpoint records them so a restore can check them.
+RECORDED_FIELDS = ("n_heads", "attention_normalized", "use_pathway")
+
 
 @dataclass(frozen=True)
 class CascadeConfig:
@@ -86,6 +90,31 @@ class StereoModel(Module):
         self.reg1 = VolumeRegularizer(rng, config.cascade.counts[0])
         self.reg2 = VolumeRegularizer(rng, config.cascade.counts[1])
         self.reg3 = VolumeRegularizer(rng, config.cascade.counts[2])
+
+    # -- checkpoint state -----------------------------------------------------
+    def state(self) -> dict[str, np.ndarray]:
+        """Parameters, plus one ``config.<field>`` entry per recorded field."""
+        out = super().state()
+        for name in RECORDED_FIELDS:
+            out[f"config.{name}"] = np.array(float(getattr(self.config, name)))
+        return out
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameters. A recorded field that differs from this model's
+        raises ContractError; a state without one loads unchecked. Parameter
+        names are checked first, since a different set is the plainer error."""
+        recorded = {f"config.{name}": name for name in RECORDED_FIELDS}
+        params = {k: v for k, v in state.items() if k not in recorded}
+        if set(params) == set(self.named_parameters()):
+            for key, name in recorded.items():
+                if key not in state:
+                    continue
+                saved, mine = float(state[key]), getattr(self.config, name)
+                if saved != float(mine):
+                    raise ContractError(
+                        f"checkpoint was saved with {name} = {type(mine)(saved)}, "
+                        f"but the model has {name} = {mine}")
+        super().load_state(params)
 
     # -- feature path ---------------------------------------------------------
     def extract_features(self, views: list[CameraView]) -> list[tuple[Tensor, ...]]:

@@ -231,8 +231,10 @@ def fit(model: StereoModel, scenes: list[SyntheticScene], steps: int,
 #     name_len u32, name utf-8 bytes
 #     ndim u32, shape i64 * ndim
 #     data float32 * prod(shape)
-# Model parameters appear under their dotted names; optimizer state under
-# "adam.step" / "adam.m.*" / "adam.v.*" when present.
+# Model parameters appear under their dotted names; the model config fields
+# that change no parameter shape as 0-d "config.*" entries (checked by
+# StereoModel.load_state); optimizer state under "adam.step" / "adam.m.*" /
+# "adam.v.*" when present.
 
 _MAGIC = b"MVSTCKPT"
 _VERSION = 1

@@ -198,6 +198,23 @@ class TestCliPipeline:
         assert "does not match" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
 
+    def test_checkpoint_of_another_head_count_is_named_on_stderr(self, small_scene_dir,
+                                                                 tmp_path):
+        """n_heads changes no parameter shape; the checkpoint records it."""
+        from mvstereo.model import StereoModel
+        from mvstereo.training import save_checkpoint
+        cfg = small_scene_dir / "small.cfg"
+        save_checkpoint(tmp_path / "ckpt.bin", StereoModel(load_config(cfg).model))
+        one_head = tmp_path / "one_head.cfg"
+        one_head.write_text(cfg.read_text().replace("n_heads = 2", "n_heads = 1"))
+        result = run_cli("infer", "--scene", str(small_scene_dir / "scenes" / "scene_0000"),
+                         "--out", str(tmp_path / "pred"), "--ref", "0",
+                         "--config", str(one_head), "--checkpoint", str(tmp_path / "ckpt.bin"))
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            "error: checkpoint was saved with n_heads = 2, but the model has n_heads = 1"]
+        assert not (tmp_path / "pred").exists()
+
     def test_fuse_and_cloud_eval_on_gt_depths(self, small_scene_dir, tmp_path):
         """Writing GT depths as predictions, fuse + eval produce a near-zero
         overall cloud distance."""

@@ -1,5 +1,6 @@
 """Step memory is one graph, freed by reference count when the loss is
-dropped, and the hot ops allocate no whole-size temporaries.
+dropped; the graph keeps only what backward reads; and the hot ops
+allocate no whole-size temporaries.
 
 The graph tests run with the cyclic garbage collector disabled, so any
 graph kept alive by a reference cycle would show up as growing traced
@@ -75,6 +76,61 @@ def test_train_step_memory_is_bounded(f32):
     # replace them and keep nothing else.
     growth = np.array(after[1:]) - after[0]
     assert np.all(growth < 1 * MB), f"live memory grew by {growth / MB} MB after step 1"
+
+
+def forward_retained(call) -> tuple[int, object]:
+    """Traced bytes a forward leaves live once its intermediates are
+    dropped, and its result (which holds the graph)."""
+    with traced_without_gc():
+        baseline = live_bytes()
+        result = call()
+        kept = live_bytes() - baseline
+    return kept, result
+
+
+def test_add_chain_keeps_no_intermediate(f32, rng):
+    """16 adds on a 1 MB array: the graph keeps only the last output, where
+    keeping every node's input tensors would hold all 16."""
+    x = ad.tensor(rng.standard_normal(MB // 4), requires_grad=True)
+
+    def chain():
+        h = x
+        for _ in range(16):
+            h = h + 1.0
+        return h
+
+    kept, out = forward_retained(chain)
+    assert kept <= 2 * x.data.nbytes, f"kept {kept / x.data.nbytes:.1f} arrays"
+    ad.sum_(out).backward()
+    np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+
+
+def test_conv_bias_relu_keeps_only_the_relu_output(f32, rng):
+    """relu(conv3d(x, k) + b): backward reads the relu output and the two
+    leaves, never the conv output or the bias-add output."""
+    x = ad.tensor(rng.standard_normal((4, 8, 32, 32)), requires_grad=True)
+    k = ad.tensor(rng.standard_normal((8, 4, 3, 3, 3)), requires_grad=True)
+    b = ad.tensor(rng.standard_normal((8, 1, 1, 1)), requires_grad=True)
+    kept, out = forward_retained(lambda: ad.relu(ad.conv3d(x, k, padding=1) + b))
+    assert kept < 1.5 * out.data.nbytes, f"kept {kept / out.data.nbytes:.1f} outputs"
+    ad.sum_(out).backward()
+    assert all(t.grad is not None for t in (x, k, b))
+
+
+def test_grid_sample_on_a_constant_grid_drops_its_input(f32, rng):
+    """A warp's grid is a constant, so backward needs the corner indices and
+    weights but not the values of the (non-leaf) image it sampled."""
+    feat = ad.tensor(rng.standard_normal((16, 128, 128)), requires_grad=True)
+    grid = ad.tensor(rng.uniform(-2.0, 130.0, size=(16, 16, 2)))
+
+    def warp():
+        image = feat * 2.0  # 1 MB, read by no gradient formula
+        return ad.grid_sample_2d(image, grid)[0]
+
+    kept, out = forward_retained(warp)
+    assert kept < feat.data.nbytes / 4, f"kept {kept / MB:.2f} MB"
+    ad.sum_(out).backward()
+    assert feat.grad is not None and np.any(feat.grad)
 
 
 def forward_peak(call) -> tuple[int, object]:

@@ -176,6 +176,73 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [3.0 + 2.0 * 6.0 * 3.0])
 
 
+class TestEdges:
+    """Gradient routing over node edges: producer nodes, requires-grad
+    leaves, and None for constants."""
+
+    def test_non_leaf_used_twice_by_one_op(self, f64, rng):
+        x = ad.tensor(rng.standard_normal(5), requires_grad=True)
+        a = x * 3.0
+        product = a * a
+        assert product.node.inputs[0] is product.node.inputs[1] is a.node
+        ad.sum_(product).backward()
+        np.testing.assert_allclose(x.grad, 18.0 * x.data, rtol=1e-12)
+
+    def test_leaf_as_root(self, f64):
+        x = ad.tensor([5.0], requires_grad=True)
+        x.backward()
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.mul, ((3, 4), (3, 4))),
+        (ad.matmul, ((3, 4), (4, 2))),
+        (lambda x, k: ad.conv2d(x, k, padding=1), ((2, 5, 6), (3, 2, 3, 3))),
+    ], ids=["mul", "matmul", "conv2d"])
+    def test_constant_operand_is_a_none_edge(self, f64, rng, op, shapes):
+        """Either operand as a constant: its edge is None and the other
+        side's gradient is bit-identical to the one with both live."""
+        first, second = (rng.standard_normal(shape) for shape in shapes)
+        both = [ad.tensor(first, requires_grad=True), ad.tensor(second, requires_grad=True)]
+        ad.sum_(op(*both) * 1.5).backward()
+        for const in (0, 1):
+            args = [ad.tensor(first, requires_grad=const != 0),
+                    ad.tensor(second, requires_grad=const != 1)]
+            out = op(*args)
+            live = 1 - const
+            assert out.node.inputs[const] is None and out.node.inputs[live] is args[live]
+            ad.sum_(out * 1.5).backward()
+            assert args[const].grad is None
+            np.testing.assert_array_equal(args[live].grad, both[live].grad)
+
+    def test_float64_constant_gradient_is_cast_to_the_producer_dtype(self, f32, rng):
+        x = ad.tensor(rng.standard_normal(4), requires_grad=True)
+        h = x * 2.0
+        seen = []
+        forward = h.node.backward_fn
+        h.node.backward_fn = lambda g: seen.append(g.dtype) or forward(g)
+        scale = ad.tensor(rng.standard_normal(4), dtype=np.float64)
+        loss = ad.sum_(h * scale)
+        assert loss.dtype == np.float64 and h.node.out_dtype == np.float32
+        loss.backward()
+        assert seen == [np.dtype(np.float32)]
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, (2.0 * scale.data).astype(np.float32))
+
+    def test_two_backward_calls_after_the_forward_drops_its_tensors(self, f64, rng):
+        """The intermediates are gone once the forward drops them; the
+        nodes still route a second backward the same way."""
+        x = ad.tensor(rng.standard_normal(6), requires_grad=True)
+        h = ad.relu(x * 2.0 - 0.5)
+        loss = ad.sum_(h * h)
+        del h
+        loss.backward()
+        once = x.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * once)
+        np.testing.assert_allclose(once, 4.0 * np.maximum(2.0 * x.data - 0.5, 0.0), rtol=1e-12)
+
+
 class TestTape:
     def test_topological_order(self, f64, rng):
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
@@ -184,10 +251,11 @@ class TestTape:
         loss = ad.sum_(a * b)
         tape = ad.Tape.trace(loss)
         positions = {id(node): i for i, node in enumerate(tape.nodes)}
-        for node in tape.nodes:
-            for inp in node.inputs:
-                if inp.node is not None:
-                    assert positions[id(inp.node)] < positions[id(node)]
+        producers = [(edge, node) for node in tape.nodes for edge in node.inputs
+                     if isinstance(edge, ad.Node)]
+        assert len(producers) == 4  # a -> b, a -> a*b, b -> a*b, a*b -> sum
+        for edge, node in producers:
+            assert positions[id(edge)] < positions[id(node)]
 
     def test_each_node_visited_once(self, f64, rng):
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
@@ -205,7 +273,8 @@ class TestTape:
         loss = ad.sum_(x * 3.0)
         calls = []
         for node in tensor_mod.Tape.trace(loss).nodes:
-            assert isinstance(node.op, str) and all(isinstance(t, ad.Tensor) for t in node.inputs)
+            assert isinstance(node.op, str) and all(
+                edge is None or isinstance(edge, (ad.Node, ad.Tensor)) for edge in node.inputs)
             node.backward_fn = (lambda fn: lambda g: calls.append(1) or fn(g))(node.backward_fn)
         loss.backward()
         assert len(calls) == 2

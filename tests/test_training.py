@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvstereo import autodiff as ad
 from mvstereo.cameras import sample_hypotheses_initial
-from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
+from mvstereo.model import RECORDED_FIELDS, CascadeConfig, ModelConfig, StereoModel
 from mvstereo.regularizer import probability_volume
 from mvstereo.scene import SceneSpec, render_synthetic_scene
 from mvstereo.training import (
@@ -295,6 +295,29 @@ class TestCheckpoint:
         assert "matcher.block1." in message and "\n" not in message
         assert len(message) < 300
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 4), ("attention_normalized", False), ("use_pathway", False)])
+    def test_config_field_mismatch_is_named(self, f32, tmp_path, field, value):
+        """Fields that change no parameter shape are recorded in the file and
+        checked on restore; a state without them loads unchecked."""
+        from dataclasses import replace
+        cfg = ModelConfig(cascade=CascadeConfig(counts=(8, 6, 4)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, StereoModel(cfg))
+        other = StereoModel(replace(cfg, **{field: value}), seed=1)
+        before = {name: p.data.copy() for name, p in other.named_parameters().items()}
+        with pytest.raises(ad.ContractError) as info:
+            restore(other, load_checkpoint(path))
+        message = str(info.value)
+        assert f"{field} = {getattr(cfg, field)}" in message and f"{field} = {value}" in message
+        assert "\n" not in message
+        for name, p in other.named_parameters().items():
+            np.testing.assert_array_equal(p.data, before[name])
+        arrays = {k: v for k, v in load_checkpoint(path).items() if not k.startswith("config.")}
+        restore(other, arrays)
+        for name, p in other.named_parameters().items():
+            np.testing.assert_array_equal(p.data, arrays[name])
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\0" * 16)
@@ -387,4 +410,4 @@ class TestCheckpoint:
         assert blob[:8] == b"MVSTCKPT"
         version, count = struct.unpack("<II", blob[8:16])
         assert version == 1
-        assert count == len(model.named_parameters())
+        assert count == len(model.named_parameters()) + len(RECORDED_FIELDS)
