@@ -44,7 +44,12 @@ from .ops import (
     transpose,
 )
 from .conv import conv2d, conv3d
-from .sampling import grid_sample_2d, upsample_bilinear_2x, upsample_trilinear_2x
+from .sampling import (
+    deformable_conv2d,
+    grid_sample_2d,
+    upsample_bilinear_2x,
+    upsample_trilinear_2x,
+)
 from .gradcheck import gradcheck, max_relative_error
 
 __all__ = [
@@ -56,6 +61,6 @@ __all__ = [
     "pow_const", "relu", "reshape", "softmax", "sqrt", "stack", "sub",
     "sum_", "take_along_axis", "transpose",
     "conv2d", "conv3d",
-    "grid_sample_2d", "upsample_bilinear_2x", "upsample_trilinear_2x",
+    "deformable_conv2d", "grid_sample_2d", "upsample_bilinear_2x", "upsample_trilinear_2x",
     "gradcheck", "max_relative_error",
 ]

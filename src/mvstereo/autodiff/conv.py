@@ -7,17 +7,20 @@ at most ``_BLOCK_ENTRIES`` entries (one row if a row alone is larger) and
 is copied into one reused buffer, so no conv allocates the whole patch
 matrix; one that fits the budget is a single block and a single matrix
 product. Forward, kernel gradient and input gradient all walk this one
-block iterator. Forward writes ``w_mat @ cols`` into each block's output
-columns. The patch matrix is not kept for backward: the kernel gradient
-walks the input's blocks again, and only when the kernel requires a
-gradient, so the node keeps the input only then (and the kernel only
-when the input requires a gradient). There is no col2im: the input
-gradient is itself a forward conv, of the output gradient (padded by
-k-1-pad on each side, or cropped where that is negative) with the kernel
-flipped over its taps and its in and out channels swapped (Dumoulin &
-Visin 2016, sec. 4). Every conv has stride 1; the pyramid and the 3D
-U-Net subsample by slicing. An input smaller than its kernel (after
-padding) raises a DimensionError.
+block iterator. Padding is per block too: each block copies the input
+rows it reads into one reused zero-bordered slab, so no conv makes a
+padded copy of its whole input, and every block and patch matrix is the
+one a whole padded copy would give. Forward writes ``w_mat @ cols`` into
+each block's output columns. The patch matrix is not kept for backward:
+the kernel gradient walks the input's blocks again, and only when the
+kernel requires a gradient, so the node keeps the input only then (and
+the kernel only when the input requires a gradient). There is no col2im:
+the input gradient is itself a forward conv, of the output gradient
+(padded by k-1-pad on each side, or cropped where that is negative) with
+the kernel flipped over its taps and its in and out channels swapped
+(Dumoulin & Visin 2016, sec. 4). Every conv has stride 1; the pyramid and
+the 3D U-Net subsample by slicing. An input smaller than its kernel
+(after padding) raises a DimensionError.
 """
 
 from __future__ import annotations
@@ -52,29 +55,52 @@ def _blocks(data: np.ndarray, k: int, pad: int, out_dims: tuple[int, ...]):
     as many indices as fit, within one index of each axis before it. The
     matrix is a view of one reused buffer, valid until the next block is
     drawn.
+
+    The input is never padded whole. Each block copies the input it reads
+    into one reused slab: k indices of each axis before the cut one, the
+    block's rows plus k - 1 on the cut axis, and every padded index of the
+    axes after it. The slab's borders on those last axes are zeros that no
+    copy touches; a block that reaches padding on the cut axes re-zeroes
+    the slab before its copy.
     """
     nd = len(out_dims)
-    every = (slice(None),)
-    rows = data.shape[0] * k ** nd
-    padded = np.pad(data, ((0, 0),) + ((pad, pad),) * nd) if pad else data
-    # (C, *out, *taps)
-    windows = sliding_window_view(padded, (k,) * nd, axis=tuple(range(1, nd + 1)))
+    c, *in_dims = data.shape
+    rows = c * k ** nd
     for axis in range(nd - 1):
         inner = math.prod(out_dims[axis + 1:])
         if rows * inner <= _BLOCK_ENTRIES:
             break
     step = max(1, min(out_dims[axis], _BLOCK_ENTRIES // (rows * inner)))
+    slab = np.zeros((c,) + (k,) * axis + (step + k - 1,)
+                    + tuple(n + 2 * pad for n in in_dims[axis + 1:]), dtype=data.dtype)
+    inner_at = tuple(slice(pad, pad + n) for n in in_dims[axis + 1:])
+    # (C, step, *inner out, *taps): the block's windows, one index of each
+    # axis before the cut one.
+    windows = sliding_window_view(slab, (k,) * nd, axis=tuple(range(1, nd + 1)))[
+        (slice(None),) + (0,) * axis]
     buf = np.empty(rows * inner * step, dtype=data.dtype)
     span = nd - axis  # output axes a block keeps
     taps_first = (0,) + tuple(range(span + 1, span + nd + 1)) + tuple(range(1, span + 1))
     for i, lead in enumerate(np.ndindex(*out_dims[:axis])):
         for lo in range(0, out_dims[axis], step):
-            part = windows[every + lead + (slice(lo, lo + step),)]
-            n = part.size // rows
-            cols = buf[:rows * n].reshape((data.shape[0],) + (k,) * nd + part.shape[1:span + 1])
+            m = min(step, out_dims[axis] - lo)
+            src, dst, edge = [slice(None)], [slice(None)], False
+            # Output index o reads padded input o .. o + k - 1, which is
+            # input o - pad ..; keep the part that exists.
+            for start, extent, n in zip(lead + (lo,), (k,) * axis + (m + k - 1,), in_dims):
+                first = max(start - pad, 0)
+                stop = max(first, min(start - pad + extent, n))
+                src.append(slice(first, stop))
+                dst.append(slice(first - start + pad, stop - start + pad))
+                edge |= stop - first < extent
+            if edge:
+                slab.fill(0)
+            slab[tuple(dst) + inner_at] = data[tuple(src)]
+            part = windows[:, :m]
+            cols = buf[:rows * m * inner].reshape((c,) + (k,) * nd + part.shape[1:span + 1])
             np.copyto(cols, part.transpose(taps_first))
             begin = (i * out_dims[axis] + lo) * inner
-            yield slice(begin, begin + n), cols.reshape(rows, n)
+            yield slice(begin, begin + m * inner), cols.reshape(rows, m * inner)
 
 
 def _forward(w_mat: np.ndarray, data: np.ndarray, k: int, pad: int,

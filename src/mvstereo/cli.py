@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -226,6 +227,7 @@ def _reference_cloud(views):
 
 def cmd_eval(args) -> int:
     import numpy as np
+    from .autodiff import ContractError
     from .fileio import load_scene, read_ply
     from .metrics import cloud_metrics, depth_metrics
 
@@ -247,6 +249,8 @@ def cmd_eval(args) -> int:
         print(f"mean: EPE {mean[0]:.4f}  e1 {mean[1]:.2f}%  e3 {mean[2]:.2f}%")
     else:
         cloud = read_ply(Path(args.cloud))
+        if len(cloud.points) == 0:
+            raise ContractError(f"{args.cloud}: the cloud has no vertices to evaluate")
         reference = _reference_cloud(views)
         clamp = args.clamp if args.clamp is not None else 20 * (d_max - d_min) / 128.0
         acc, comp, overall = cloud_metrics(cloud, reference, clamp=clamp)
@@ -298,7 +302,9 @@ def cmd_print_config(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="mvstereo",
         description="Desk-scale multi-view stereo: synthesize scenes, train, "

@@ -1,13 +1,19 @@
 """Feature pyramid, deformable receptive-field module, and the
 transformed-feature pathway that carries coarse matcher outputs (and their
-gradients) to the finer cascade stages."""
+gradients) to the finer cascade stages.
+
+The deformable convolution itself is one autodiff op,
+``autodiff.deformable_conv2d`` (re-exported here): it samples and
+multiplies a block of pixels at a time, so its forward builds no
+[9C, H*W] patch matrix and the tape keeps none.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DimensionError, Tensor
+from .autodiff import DimensionError, Tensor, deformable_conv2d
 from .nn import Conv2dLayer, Module, kaiming_uniform, parameter
 
 __all__ = [
@@ -62,42 +68,6 @@ class FeaturePyramidNet(Module):
         m0 = self.lat0(e0) + self.proj10(ad.upsample_bilinear_2x(m1))
         f_full = self.head0(m0)
         return f_quarter, f_half, f_full
-
-
-def deformable_conv2d(feat: Tensor, kernel: Tensor, offsets: Tensor) -> Tensor:
-    """3x3 deformable convolution (v1: offsets only, no modulation).
-
-    ``offsets`` has shape (18, H, W): per pixel, (dx, dy) for each of the
-    nine taps in row-major tap order. Each tap samples the input
-    bilinearly at (tap position + offset); samples falling outside the
-    image contribute zero, matching zero padding of a standard conv.
-    """
-    c_out, c_in, kh, kw = kernel.shape
-    if kh != 3 or kw != 3:
-        raise DimensionError("deformable_conv2d supports 3x3 kernels")
-    if feat.shape[0] != c_in:
-        raise DimensionError(f"channel mismatch: {feat.shape[0]} vs kernel {c_in}")
-    if offsets.shape[0] != 18:
-        raise DimensionError(f"offsets must have 18 channels, got {offsets.shape[0]}")
-    _, h, w = feat.shape
-    if offsets.shape[1:] != (h, w):
-        raise DimensionError(f"deformable_conv2d offsets {offsets.shape} do not match "
-                             f"features {feat.shape} in (H, W)")
-
-    # Tap (ky, kx) at pixel (y, x) reads (x + kx - 1, y + ky - 1): integers,
-    # so building the grid in the feature dtype is exact.
-    shift = np.arange(-1, 2, dtype=feat.dtype)
-    base = np.empty((3, 3, h, w, 2), dtype=feat.dtype)
-    base[..., 0] = shift[:, None, None] + np.arange(w, dtype=feat.dtype)
-    base[..., 1] = shift[:, None, None, None] + np.arange(h, dtype=feat.dtype)[:, None]
-    base_t = ad.tensor(base.reshape(9, h, w, 2))              # (9, H, W, 2)
-
-    off = ad.transpose(ad.reshape(offsets, (9, 2, h, w)), (0, 2, 3, 1))
-    grid = base_t + off
-    sampled, _ = ad.grid_sample_2d(feat, grid)                # (9, C_in, H, W)
-    cols = ad.reshape(sampled, (9 * c_in, h * w))
-    w_mat = ad.reshape(ad.transpose(kernel, (0, 2, 3, 1)), (c_out, 9 * c_in))
-    return ad.reshape(ad.matmul(w_mat, cols), (c_out, h, w))
 
 
 class DeformableConv2d(Module):

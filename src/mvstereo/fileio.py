@@ -199,12 +199,19 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
         except (KeyError, ValueError):
             raise ContractError(f"{manifest_path}: '{key}' is missing or not "
                                 f"a valid {kind.__name__}") from None
+    if numbers["n_views"] < 2:
+        raise ContractError(f"{manifest_path}: n_views = {numbers['n_views']}, but a scene "
+                            f"needs a reference plus at least one source view")
     views = []
     for i in range(numbers["n_views"]):
-        image = read_ppm(directory / f"view_{i:04d}.ppm")
-        depth = read_pfm(directory / f"depth_{i:04d}.pfm").astype(np.float64)
+        image_path, depth_path = directory / f"view_{i:04d}.ppm", directory / f"depth_{i:04d}.pfm"
+        image = read_ppm(image_path)
+        depth = read_pfm(depth_path).astype(np.float64)
         intr, extr, _ = load_camera_file(directory / f"cam_{i:04d}.txt")
-        views.append(CameraView(
-            intrinsics=intr, extrinsics=extr, image=image, depth=depth,
-            mask=depth > 0, d_min=numbers["d_min"], d_max=numbers["d_max"]))
+        try:
+            views.append(CameraView(
+                intrinsics=intr, extrinsics=extr, image=image, depth=depth,
+                mask=depth > 0, d_min=numbers["d_min"], d_max=numbers["d_max"]))
+        except (ContractError, DimensionError) as exc:
+            raise type(exc)(f"{image_path}, {depth_path}: {exc}") from None
     return views, manifest

@@ -126,20 +126,18 @@ class StereoModel(Module):
             out.append((self.deform_quarter(f4), self.deform_half(f2), self.deform_full(f1)))
         return out
 
-    def _stage_volume(self, feats: list[Tensor], hyps: DepthHypotheses,
-                      views: list[CameraView], scale: float,
-                      regularizer: VolumeRegularizer) -> Tensor:
+    def _cost_volume(self, feats: list[Tensor], hyps: DepthHypotheses,
+                     views: list[CameraView], scale: float) -> Tensor:
+        """Saliency-aggregated correlation of every source against the reference."""
         ref_view = views[0]
         ref_intr = scale_camera(ref_view.intrinsics, scale)
-        pairs = []
-        for feat, view in zip(feats[1:], views[1:]):
-            warped, mask = warp_source_features(
-                feat, hyps, ref_intr, ref_view.extrinsics,
-                scale_camera(view.intrinsics, scale), view.extrinsics)
-            pairs.append(pairwise_correlation(feats[0], warped, mask))
+        # No name holds a warped volume: each dies inside its correlation.
+        pairs = [pairwise_correlation(feats[0], *warp_source_features(
+                     feat, hyps, ref_intr, ref_view.extrinsics,
+                     scale_camera(view.intrinsics, scale), view.extrinsics))
+                 for feat, view in zip(feats[1:], views[1:])]
         volumes, masks = zip(*pairs)
-        logits = regularizer(aggregate_correlation(ad.stack(volumes), np.stack(masks)))
-        return probability_volume(logits)
+        return aggregate_correlation(ad.stack(volumes), np.stack(masks))
 
     def __call__(self, views: list[CameraView]) -> list[StageOutput]:
         """Run the cascade; views[0] is the reference."""
@@ -147,38 +145,33 @@ class StereoModel(Module):
             raise ContractError("cascade needs a reference plus at least one source view")
         cfg = self.config.cascade
         d_min, d_max = cfg.d_min, cfg.d_max
+        pathway = self.config.use_pathway
 
-        feats = self.extract_features(views)
-        quarter = [f[0] for f in feats]
-        transformed = self.matcher(quarter)
+        # One feature list per scale, coarse first. Each is dropped once its
+        # stage has read it, and a stage's features are dropped before its
+        # regularizer runs unless the pathway carries them to the next stage.
+        scales = [list(scale) for scale in zip(*self.extract_features(views))]
+        merges = (None, self.path_half, self.path_full)
+        regs = (self.reg1, self.reg2, self.reg3)
 
         outputs: list[StageOutput] = []
-
-        # Stage 1: global uniform sweep on the transformed quarter-scale features.
-        hyps = sample_hypotheses_initial(d_min, d_max, cfg.counts[0], stage=1)
-        prob = self._stage_volume(transformed, hyps, views, STAGE_SCALES[0], self.reg1)
-        est = winner_take_all(prob, hyps)
-        outputs.append(StageOutput(1, prob, hyps, est))
-
-        # Stages 2-3: pathway-merged features, per-pixel refined hypotheses.
-        carried = transformed
-        finer_feats = [[f[1] for f in feats], [f[2] for f in feats]]
-        merges = [self.path_half, self.path_full]
-        regs = [self.reg2, self.reg3]
-        interval = hyps.interval
-        for s in (1, 2):
-            if self.config.use_pathway:
-                stage_feats = [merges[s - 1](c, r) for c, r in zip(carried, finer_feats[s - 1])]
+        for s in range(3):
+            if s == 0:
+                # Stage 1: global uniform sweep on the transformed quarter-scale features.
+                feats = self.matcher(scales.pop(0))
+                hyps = sample_hypotheses_initial(d_min, d_max, cfg.counts[0], stage=1)
             else:
-                stage_feats = finer_feats[s - 1]
-            # A constant float64 tensor: no tape node, full depth precision.
-            prev_depth = ad.upsample_bilinear_2x(
-                ad.tensor(outputs[-1].estimate.depth[None], dtype=np.float64)).data[0]
-            hyps = refine_hypotheses(prev_depth, cfg.counts[s], cfg.decays[s],
-                                     interval, d_min, d_max, stage=s + 1)
-            interval = hyps.interval
-            prob = self._stage_volume(stage_feats, hyps, views, STAGE_SCALES[s], regs[s - 1])
-            est = winner_take_all(prob, hyps)
-            outputs.append(StageOutput(s + 1, prob, hyps, est))
-            carried = stage_feats
+                # Stages 2-3: pathway-merged features, per-pixel refined hypotheses.
+                feats = ([merges[s](c, r) for c, r in zip(feats, scales.pop(0))] if pathway
+                         else scales.pop(0))
+                # A constant float64 tensor: no tape node, full depth precision.
+                prev_depth = ad.upsample_bilinear_2x(
+                    ad.tensor(outputs[-1].estimate.depth[None], dtype=np.float64)).data[0]
+                hyps = refine_hypotheses(prev_depth, cfg.counts[s], cfg.decays[s],
+                                         hyps.interval, d_min, d_max, stage=s + 1)
+            volume = self._cost_volume(feats, hyps, views, STAGE_SCALES[s])
+            if not (pathway and scales):
+                feats = None
+            prob = probability_volume(regs[s](volume))
+            outputs.append(StageOutput(s + 1, prob, hyps, winner_take_all(prob, hyps)))
         return outputs

@@ -79,10 +79,12 @@ class VolumeRegularizer(Module):
             f0 = self.c0(x)
             f1 = self.c1(_subsample(f0))
             f2 = self.c2b(self.c2a(_subsample(f1)))
-            up1 = _crop_to(ad.upsample_trilinear_2x(f2), f1.shape)
-            s1 = ad.relu(self.u1(up1) + f1)
-            up0 = _crop_to(ad.upsample_trilinear_2x(s1), f0.shape)
-            s0 = ad.relu(self.u0(up0) + f0)
+            # No name holds an upsampled input, and each skip is dropped
+            # once it has been added.
+            s1 = ad.relu(self.u1(_crop_to(ad.upsample_trilinear_2x(f2), f1.shape)) + f1)
+            del f1, f2
+            s0 = ad.relu(self.u0(_crop_to(ad.upsample_trilinear_2x(s1), f0.shape)) + f0)
+            del f0, s1
             logits = self.out(s0)
         else:
             logits = self.out(self.p1(self.p0(x)))

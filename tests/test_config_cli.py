@@ -350,6 +350,61 @@ class TestCliPipeline:
         assert named in result.stderr
         assert result.stdout == "" and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("probe, named", [
+        ("one_view", "manifest.txt: n_views = 1"),
+        ("inverted_range", "[3.5, 3.3]"),
+        ("zero_focal", "cam_0001.txt: focal lengths must be positive, got fx=0.0"),
+        ("smaller_image", "view_0001.ppm"),
+        ("skewed_rotation", "cam_0001.txt: rotation is not orthonormal"),
+        ("empty_cloud", "empty.ply: the cloud has no vertices")])
+    def test_malformed_scene_exits_1_naming_it(self, small_scene_dir, tmp_path, probe, named):
+        """Each boundary probe exits 1 with one stderr line naming the file
+        or the value, and writes nothing."""
+        import shutil
+        from mvstereo.fileio import read_ppm, write_ply, write_ppm
+        from mvstereo.fusion import PointCloud
+        scene = tmp_path / "scene"
+        shutil.copytree(small_scene_dir / "scenes" / "scene_0000", scene)
+
+        def edit(name, old, new):
+            path = scene / name
+            text = path.read_text()
+            assert old in text
+            path.write_text(text.replace(old, new, 1))
+
+        if probe == "one_view":
+            edit("manifest.txt", "n_views = 3", "n_views = 1")
+        elif probe == "inverted_range":
+            edit("manifest.txt", "d_min = 1.2", "d_min = 3.5")
+        elif probe == "zero_focal":
+            edit("cam_0001.txt", "\n18 0 ", "\n0 0 ")
+        elif probe == "smaller_image":
+            write_ppm(scene / "view_0001.ppm", read_ppm(scene / "view_0001.ppm")[:, :-4])
+        elif probe == "skewed_rotation":
+            lines = (scene / "cam_0001.txt").read_text().splitlines()
+            row = lines[1].split()  # first rotation row, after "extrinsic"
+            lines[1] = " ".join([repr(2 * float(row[0]))] + row[1:])
+            (scene / "cam_0001.txt").write_text("\n".join(lines) + "\n")
+        if probe == "empty_cloud":
+            cloud = tmp_path / "empty.ply"
+            write_ply(cloud, PointCloud(np.zeros((0, 3)), np.zeros((0, 3))))
+            args = ("eval", "--mode", "cloud", "--cloud", str(cloud), "--scene", str(scene))
+        else:
+            args = ("infer", "--scene", str(scene), "--out", str(tmp_path / "pred"),
+                    "--config", str(small_scene_dir / "small.cfg"))
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert named in result.stderr
+        assert not (tmp_path / "pred").exists()
+
+    def test_parser_is_built_once(self, capsys):
+        from mvstereo import cli
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            assert cli.main(["print-config"]) == 0
+        assert capsys.readouterr().out == 2 * default_config_text()
+
     def test_bench_attention_small(self, tmp_path):
         out = tmp_path / "bench.csv"
         result = run_cli("bench-attention", "--lengths", "64,128,256",

@@ -12,6 +12,87 @@ from mvstereo.features import (
 )
 
 
+def composed_deformable_conv2d(feat, kernel, offsets):
+    """The deformable conv as separate autodiff ops: the integer tap grid
+    plus the offsets, one grid sample of all nine taps, and one matrix
+    product with the [9C, H*W] patch matrix. The fused op must equal it."""
+    c_out, c_in, _, _ = kernel.shape
+    _, h, w = feat.shape
+    shift = np.arange(-1, 2, dtype=feat.dtype)
+    base = np.empty((3, 3, h, w, 2), dtype=feat.dtype)
+    base[..., 0] = shift[:, None, None] + np.arange(w, dtype=feat.dtype)
+    base[..., 1] = shift[:, None, None, None] + np.arange(h, dtype=feat.dtype)[:, None]
+    off = ad.transpose(ad.reshape(offsets, (9, 2, h, w)), (0, 2, 3, 1))
+    sampled, _ = ad.grid_sample_2d(feat, ad.tensor(base.reshape(9, h, w, 2)) + off)
+    cols = ad.reshape(sampled, (9 * c_in, h * w))
+    w_mat = ad.reshape(ad.transpose(kernel, (0, 2, 3, 1)), (c_out, 9 * c_in))
+    return ad.reshape(ad.matmul(w_mat, cols), (c_out, h, w))
+
+
+# The three pyramid scales at the train (64x80) and infer (96x128) shapes.
+MODEL_SHAPES = [(32, 16, 20), (16, 32, 40), (8, 64, 80),
+                (32, 24, 32), (16, 48, 64), (8, 96, 128)]
+
+
+def border_offsets(rng, h, w):
+    """Offsets in [-4, 4] with every tap of the outer two pixel rings pushed
+    off its nearest border, and a few wild and non-finite ones."""
+    off = rng.uniform(-4.0, 4.0, (9, 2, h, w))
+    off[:, 0, :, :2] = -3.0 - rng.random((9, h, 2))     # off the left edge
+    off[:, 0, :, -2:] = 3.0 + rng.random((9, h, 2))     # off the right edge
+    off[:, 1, :2, :] = -3.0 - rng.random((9, 2, w))     # off the top edge
+    off[:, 1, -2:, :] = 3.0 + rng.random((9, 2, w))     # off the bottom edge
+    off[0, 0, h // 2, w // 2] = 1e9
+    off[1, 1, h // 2, w // 3] = -np.inf
+    off[2, 0, h // 3, w // 2] = np.nan
+    return off.reshape(18, h, w)
+
+
+class TestFusedDeformableConv:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_forward_equals_the_composition_bitwise(self, rng, dtype, shape):
+        c, h, w = shape
+        with ad.precision(dtype):
+            feat = ad.tensor(rng.standard_normal(shape))
+            kernel = ad.tensor(rng.standard_normal((c, c, 3, 3)))
+            offsets = ad.tensor(border_offsets(rng, h, w))
+            fused = deformable_conv2d(feat, kernel, offsets)
+            composed = composed_deformable_conv2d(feat, kernel, offsets)
+        assert fused.dtype == composed.dtype
+        assert np.array_equal(fused.data, composed.data)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(3, 9, 11), (32, 16, 20), (8, 64, 80)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_gradients_equal_the_composition_bitwise(self, rng, dtype, shape):
+        """The kernel gradient is one product over all pixels, as in the
+        composition, so training follows the same trajectory bit for bit."""
+        c, h, w = shape
+        with ad.precision(dtype):
+            feat = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+            kernel = ad.tensor(rng.standard_normal((c + 1, c, 3, 3)), requires_grad=True)
+            off = np.nan_to_num(border_offsets(rng, h, w), posinf=1e9, neginf=-1e9)
+            offsets = ad.tensor(off, requires_grad=True)
+            coef = ad.tensor(rng.standard_normal((c + 1, h, w)))
+            grads = []
+            for op in (deformable_conv2d, composed_deformable_conv2d):
+                for t in (feat, kernel, offsets):
+                    t.zero_grad()
+                ad.sum_(op(feat, kernel, offsets) * coef).backward()
+                grads.append([t.grad for t in (feat, kernel, offsets)])
+        for fused, composed in zip(*grads):
+            assert np.array_equal(fused, composed)
+
+    def test_is_one_tape_node(self, f32, rng):
+        feat = ad.tensor(rng.standard_normal((4, 6, 7)), requires_grad=True)
+        kernel = ad.tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+        offsets = ad.tensor(rng.uniform(-1, 1, (18, 6, 7)), requires_grad=True)
+        out = deformable_conv2d(feat, kernel, offsets)
+        assert out.node.op == "deformable_conv2d"
+        assert out.node.inputs == (feat, kernel, offsets)
+
+
 class TestFeaturePyramid:
     def test_output_shapes_64x80(self, f32, rng):
         net = FeaturePyramidNet(rng)

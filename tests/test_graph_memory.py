@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from mvstereo import autodiff as ad
+from mvstereo.features import deformable_conv2d
 from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
 from mvstereo.scene import SceneSpec, render_synthetic_scene
 from mvstereo.training import Adam, LossConfig, train_step
@@ -145,11 +146,44 @@ def forward_peak(call) -> tuple[int, object]:
 
 def test_conv3d_forward_peak_is_blocked(f32, rng):
     """The stage-3 regularizer's largest layer: its whole patch matrix
-    would be 432 x 49152 float32 entries, 81 MB."""
+    would be 432 x 49152 float32 entries, 81 MB, and a padded copy of its
+    input 16 x 6 x 98 x 130 entries, 4.9 MB. Blocks pad their own rows."""
     x = ad.tensor(rng.standard_normal((16, 4, 96, 128)))
     k = ad.tensor(rng.standard_normal((8, 16, 3, 3, 3)))
+    padded_copy = 16 * 6 * 98 * 130 * 4
     peak, _ = forward_peak(lambda: ad.conv3d(x, k, padding=1))
-    assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"
+    assert peak < padded_copy, f"peak {peak / MB:.2f} MB"
+
+
+def test_inference_peak_is_its_working_set(f32):
+    """A no-grad cascade at the benchmark's infer shape (96x128, 5 views):
+    each scale's features, warped volume, U-Net skip and upsampled input
+    dies after its last use, and no op builds a whole padded input or a
+    whole deformable patch matrix. Holding them peaked near 24 MB."""
+    spec = SceneSpec(height=96, width=128, focal=112.0, n_views=5, baseline=0.3, jitter=0.06)
+    views = render_synthetic_scene(spec, seed=11).views
+    model = StereoModel(ModelConfig(), seed=0)
+    peak, outputs = forward_peak(lambda: model(views))
+    assert [out.estimate.depth.shape for out in outputs] == [(24, 32), (48, 64), (96, 128)]
+    assert peak < 12 * MB, f"peak {peak / MB:.2f} MB"
+
+
+def test_deformable_conv_keeps_less_than_its_patch_matrix(f32, rng):
+    """Train shape at full resolution: the op keeps the features, the
+    kernel and the offsets, never the [9C, H*W] sampled patch matrix."""
+    c, h, w = 8, 64, 80
+    feat = ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+    kernel = ad.tensor(rng.standard_normal((c, c, 3, 3)), requires_grad=True)
+    offsets = ad.tensor(rng.uniform(-2.0, 2.0, (18, h, w)), requires_grad=True)
+    patch_matrix = 9 * c * h * w * 4
+
+    def deform():
+        return deformable_conv2d(feat, kernel, offsets * 1.0)  # non-leaf offsets
+
+    kept, out = forward_retained(deform)
+    assert kept < patch_matrix / 2, f"kept {kept / patch_matrix:.2f} patch matrices"
+    ad.sum_(out).backward()
+    assert all(t.grad is not None and np.any(t.grad) for t in (feat, kernel, offsets))
 
 
 def test_grid_sample_forward_peak_is_a_few_outputs(f32, rng):

@@ -15,6 +15,14 @@ from mvstereo.autodiff.tensor import make_op
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
+def load_tracing():
+    """perfbench/tracing.py as a module; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestMatmul:
     def test_identity(self, f64, rng):
         b = ad.tensor(rng.standard_normal((3, 3)))
@@ -287,9 +295,7 @@ class TestTape:
         from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
         from mvstereo.scene import SceneSpec, render_synthetic_scene
         from mvstereo import training
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
         scene = render_synthetic_scene(SceneSpec(height=8, width=8, focal=8.0), seed=0)
         model = StereoModel(ModelConfig(cascade=CascadeConfig(counts=(8, 6, 4)),
                                         n_blocks=1, n_heads=2))
@@ -309,8 +315,30 @@ class TestTape:
         record = tracer.record()
         for name in ("autodiff.op.conv2d.calls", "autodiff.op.conv3d.calls",
                      "autodiff.op.conv3d.bwd_s", "regularizer.reg3_s", "regularizer.wta_s",
-                     "training.forward_s", "training.loss_s", "autodiff.tape_nodes"):
+                     "training.forward_s", "training.loss_s", "autodiff.tape_nodes",
+                     "features.deform_s", "costvolume.warp.calls",
+                     "costvolume.correlation.calls", "costvolume.aggregate.calls"):
             assert record.get(name, 0) > 0, name
+
+    def test_benchmark_tracer_wraps_and_restores_the_model_hooks(self):
+        """The layer names perfbench/tracing.py wraps by attribute. A rename
+        in the program fails here, at install, instead of in a traced
+        benchmark run."""
+        from mvstereo import features
+        from mvstereo import model as model_mod
+        from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
+        hooks = [(features.DeformableConv2d, "__call__"), (model_mod, "warp_source_features"),
+                 (model_mod, "pairwise_correlation"), (model_mod, "aggregate_correlation")]
+        originals = [getattr(owner, name) for owner, name in hooks]
+        tracer = load_tracing().Tracer()
+        tracer.install(StereoModel(ModelConfig(cascade=CascadeConfig(counts=(8, 6, 4)),
+                                               n_blocks=1, n_heads=2)))
+        try:
+            wrapped = [getattr(owner, name) for owner, name in hooks]
+        finally:
+            tracer.uninstall()
+        assert all(w is not o for w, o in zip(wrapped, originals))
+        assert all(getattr(owner, name) is o for (owner, name), o in zip(hooks, originals))
 
     def test_no_grad_records_nothing(self, f64, rng):
         x = ad.tensor(rng.standard_normal(4), requires_grad=True)
