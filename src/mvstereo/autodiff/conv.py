@@ -10,8 +10,10 @@ product. Forward, kernel gradient and input gradient all walk this one
 block iterator. Padding is per block too: each block copies the input
 rows it reads into one reused zero-bordered slab, so no conv makes a
 padded copy of its whole input, and every block and patch matrix is the
-one a whole padded copy would give. Forward writes ``w_mat @ cols`` into
-each block's output columns. The patch matrix is not kept for backward:
+one a whole padded copy would give. An unpadded conv reads its blocks
+straight from the input, and a 1x1 one multiplies the input's columns
+with no copy at all. Forward writes ``w_mat @ cols`` into each block's
+output columns. The patch matrix is not kept for backward:
 the kernel gradient walks the input's blocks again, and only when the
 kernel requires a gradient, so the node keeps the input only then (and
 the kernel only when the input requires a gradient). There is no col2im:
@@ -54,14 +56,15 @@ def _blocks(data: np.ndarray, k: int, pad: int, out_dims: tuple[int, ...]):
     (the second-to-last axis if none does; never the last one) into runs of
     as many indices as fit, within one index of each axis before it. The
     matrix is a view of one reused buffer, valid until the next block is
-    drawn.
+    drawn; for a 1x1 kernel it is a view of the input instead.
 
-    The input is never padded whole. Each block copies the input it reads
-    into one reused slab: k indices of each axis before the cut one, the
-    block's rows plus k - 1 on the cut axis, and every padded index of the
-    axes after it. The slab's borders on those last axes are zeros that no
-    copy touches; a block that reaches padding on the cut axes re-zeroes
-    the slab before its copy.
+    The input is never padded whole. With padding, each block copies the
+    input it reads into one reused slab: k indices of each axis before the
+    cut one, the block's rows plus k - 1 on the cut axis, and every padded
+    index of the axes after it. The slab's borders on those last axes are
+    zeros that no copy touches; a block that reaches padding on the cut
+    axes re-zeroes the slab before its copy. Without padding there is no
+    slab: each block's windows are read straight from the input.
     """
     nd = len(out_dims)
     c, *in_dims = data.shape
@@ -71,35 +74,44 @@ def _blocks(data: np.ndarray, k: int, pad: int, out_dims: tuple[int, ...]):
         if rows * inner <= _BLOCK_ENTRIES:
             break
     step = max(1, min(out_dims[axis], _BLOCK_ENTRIES // (rows * inner)))
-    slab = np.zeros((c,) + (k,) * axis + (step + k - 1,)
-                    + tuple(n + 2 * pad for n in in_dims[axis + 1:]), dtype=data.dtype)
-    inner_at = tuple(slice(pad, pad + n) for n in in_dims[axis + 1:])
-    # (C, step, *inner out, *taps): the block's windows, one index of each
-    # axis before the cut one.
-    windows = sliding_window_view(slab, (k,) * nd, axis=tuple(range(1, nd + 1)))[
-        (slice(None),) + (0,) * axis]
-    buf = np.empty(rows * inner * step, dtype=data.dtype)
+    if pad:
+        slab = np.zeros((c,) + (k,) * axis + (step + k - 1,)
+                        + tuple(n + 2 * pad for n in in_dims[axis + 1:]), dtype=data.dtype)
+        inner_at = tuple(slice(pad, pad + n) for n in in_dims[axis + 1:])
+    # (C, *out, *taps) over the input itself when nothing is padded, else
+    # (C, k.., step, *inner out, *taps) over the slab.
+    windows = sliding_window_view(slab if pad else data, (k,) * nd,
+                                  axis=tuple(range(1, nd + 1)))
+    if k > 1:
+        buf = np.empty(rows * inner * step, dtype=data.dtype)
     span = nd - axis  # output axes a block keeps
     taps_first = (0,) + tuple(range(span + 1, span + nd + 1)) + tuple(range(1, span + 1))
     for i, lead in enumerate(np.ndindex(*out_dims[:axis])):
         for lo in range(0, out_dims[axis], step):
             m = min(step, out_dims[axis] - lo)
-            src, dst, edge = [slice(None)], [slice(None)], False
-            # Output index o reads padded input o .. o + k - 1, which is
-            # input o - pad ..; keep the part that exists.
-            for start, extent, n in zip(lead + (lo,), (k,) * axis + (m + k - 1,), in_dims):
-                first = max(start - pad, 0)
-                stop = max(first, min(start - pad + extent, n))
-                src.append(slice(first, stop))
-                dst.append(slice(first - start + pad, stop - start + pad))
-                edge |= stop - first < extent
-            if edge:
-                slab.fill(0)
-            slab[tuple(dst) + inner_at] = data[tuple(src)]
-            part = windows[:, :m]
+            if pad:
+                src, dst, edge = [slice(None)], [slice(None)], False
+                # Output index o reads padded input o .. o + k - 1, which is
+                # input o - pad ..; keep the part that exists.
+                for start, extent, n in zip(lead + (lo,), (k,) * axis + (m + k - 1,), in_dims):
+                    first = max(start - pad, 0)
+                    stop = max(first, min(start - pad + extent, n))
+                    src.append(slice(first, stop))
+                    dst.append(slice(first - start + pad, stop - start + pad))
+                    edge |= stop - first < extent
+                if edge:
+                    slab.fill(0)
+                slab[tuple(dst) + inner_at] = data[tuple(src)]
+                part = windows[(slice(None),) + (0,) * axis + (slice(0, m),)]
+            else:
+                part = windows[(slice(None),) + lead + (slice(lo, lo + m),)]
+            begin = (i * out_dims[axis] + lo) * inner
+            if k == 1:
+                # A 1x1 patch matrix is the block's input itself.
+                yield slice(begin, begin + m * inner), part.reshape(rows, m * inner)
+                continue
             cols = buf[:rows * m * inner].reshape((c,) + (k,) * nd + part.shape[1:span + 1])
             np.copyto(cols, part.transpose(taps_first))
-            begin = (i * out_dims[axis] + lo) * inner
             yield slice(begin, begin + m * inner), cols.reshape(rows, m * inner)
 
 

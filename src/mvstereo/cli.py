@@ -22,16 +22,26 @@ from pathlib import Path
 __all__ = ["main"]
 
 
-def _apply_threads_flag(argv: list[str]) -> None:
+def _apply_threads_flag(argv: list[str]) -> str | None:
+    """Pin the BLAS pools to ``--threads N``; returns the problem with a
+    value that is not a positive integer, before anything is pinned."""
     threads = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
+    if threads is None:
+        return None
+    try:
+        count = int(threads)
+    except ValueError:
+        count = 0
+    if count < 1:
+        return f"--threads {threads} must be a positive integer"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(count)
+    return None
 
 
 def _configure_logging() -> None:
@@ -380,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_threads_flag(argv)
+    problem = _apply_threads_flag(argv)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

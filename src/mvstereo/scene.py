@@ -20,6 +20,8 @@ from .cameras import CameraView, Extrinsics, Intrinsics, project_points
 
 __all__ = ["SceneSpec", "SyntheticScene", "render_synthetic_scene"]
 
+_RENDER_BLOCK = 1 << 13  # supersampled pixels shaded at a time
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -220,6 +222,30 @@ def _shade(spec: SceneSpec, surface: dict, origin: np.ndarray, dirs: np.ndarray,
     return image
 
 
+def _render_image(spec: SceneSpec, surface: dict, intr: Intrinsics, extr: Extrinsics,
+                  seed: int, light: np.ndarray) -> np.ndarray:
+    """One view's image (3, H, W): each pixel is the mean of its s x s
+    supersampled rays, shaded and box-filtered one block of whole rows at a
+    time (at most ``_RENDER_BLOCK`` supersampled pixels, unless one row is
+    larger) straight into the image."""
+    s = spec.supersample
+    sub = (np.arange(s) + 0.5) / s - 0.5
+    # Ray (x, y) offsets in the camera plane, for every supersampled column.
+    cols = ((np.arange(spec.width, dtype=np.float64)[:, None] + sub).ravel() - intr.cx) / intr.fx
+    step = max(1, _RENDER_BLOCK // (s * s * spec.width))
+    image = np.empty((3, spec.height, spec.width))
+    for lo in range(0, spec.height, step):
+        hi = min(lo + step, spec.height)
+        rows = ((np.arange(lo, hi, dtype=np.float64)[:, None] + sub).ravel() - intr.cy) / intr.fy
+        rays = np.empty((len(rows), len(cols), 3))
+        rays[..., 0] = cols
+        rays[..., 1] = rows[:, None]
+        rays[..., 2] = 1.0
+        fine = _shade(spec, surface, extr.center, rays @ extr.rotation, seed, light)
+        fine.reshape(3, hi - lo, s, spec.width, s).mean(axis=(2, 4), out=image[:, lo:hi])
+    return image
+
+
 def render_synthetic_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
     """Render all views of a scene; deterministic for a given (spec, seed)."""
     rng = np.random.default_rng(seed)
@@ -254,41 +280,21 @@ def render_synthetic_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
 
     ys, xs = np.meshgrid(np.arange(spec.height, dtype=np.float64),
                          np.arange(spec.width, dtype=np.float64), indexing="ij")
-    if spec.supersample > 1:
-        s = spec.supersample
-        sub = (np.arange(s) + 0.5) / s - 0.5
-        ys_f = (ys[:, None, :, None] + sub[None, :, None, None]).reshape(
-            spec.height * s, spec.width)
-        ys_f = np.repeat(ys_f, s, axis=1).reshape(spec.height * s, spec.width * s)
-        xs_f = (xs[:, :, None] + sub[None, None, :]).reshape(spec.height, spec.width * s)
-        xs_f = np.repeat(xs_f, s, axis=0).reshape(spec.height * s, spec.width * s)
-    else:
-        ys_f, xs_f = ys, xs
     rays_cam = np.stack([(xs - intr.cx) / intr.fx,
                          (ys - intr.cy) / intr.fy,
                          np.ones_like(xs)], axis=-1)          # (H, W, 3)
-    rays_fine = np.stack([(xs_f - intr.cx) / intr.fx,
-                          (ys_f - intr.cy) / intr.fy,
-                          np.ones_like(xs_f)], axis=-1)
 
     views = []
     for extr in poses:
         origin = extr.center
         depth, hit = _intersect(spec, surface, origin, rays_cam @ extr.rotation,
                                 strict=True)
-        if spec.supersample > 1:
-            s = spec.supersample
-            fine = _shade(spec, surface, origin, rays_fine @ extr.rotation,
-                          seed, light)
-            image = fine.reshape(3, spec.height, s, spec.width, s).mean(axis=(2, 4))
-        else:
-            image = _shade(spec, surface, origin, rays_cam @ extr.rotation,
-                           seed, light)
+        image = _render_image(spec, surface, intr, extr, seed, light)
         if spec.kind == "sphere":
             depth = np.where(hit, depth, 0.0)
         views.append(CameraView(
             intrinsics=intr, extrinsics=extr,
-            image=image.astype(np.float64),
+            image=image,
             depth=depth.astype(np.float64),
             mask=hit if spec.kind == "sphere" else np.ones_like(depth, dtype=bool),
             d_min=spec.d_min, d_max=spec.d_max))

@@ -91,6 +91,17 @@ class TestCliBasics:
     def test_unknown_subcommand_exit_code_2(self):
         assert run_cli("frobnicate").returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--threads", "0"), ("--threads=-3",), ("--threads", "two"), ("--threads", "1.5")])
+    def test_threads_must_be_a_positive_integer(self, tmp_path, args):
+        """Checked before any BLAS pool is pinned: one line naming the value."""
+        result = run_cli(*args, "synth", "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        value = args[-1].split("=")[-1]
+        assert f"--threads {value} must be a positive integer" in result.stderr
+        assert result.stdout == "" and not (tmp_path / "o").exists()
+
     def test_runtime_failure_exit_code_1(self, tmp_path):
         result = run_cli("infer", "--scene", str(tmp_path / "missing"),
                          "--out", str(tmp_path / "o"))

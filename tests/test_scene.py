@@ -1,5 +1,7 @@
 """Synthetic renderer: analytic depth, reprojection consistency, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,39 @@ class TestTextureLattice:
         i0 = np.array([[0.0, far], [0.0, far], [0.0, far]])
         with pytest.raises(ContractError, match="texture lattice"):
             scene_module._lattice_cells(i0)
+
+
+class TestRowBlocks:
+    """Images are shaded and box-filtered a block of rows at a time."""
+
+    SPECS = [
+        SceneSpec(jitter=0.12),
+        SceneSpec(kind="sphere", jitter=0.1),
+        SceneSpec(height=120, width=160, focal=130.0, supersample=1),
+        SceneSpec(height=40, width=52, focal=45.0, supersample=3, parallel_rig=True),
+        SceneSpec(height=96, width=128, focal=112.0, n_views=5, baseline=0.3, jitter=0.06),
+    ]
+
+    def test_renders_equal_the_whole_image_renderer(self):
+        """SHA-256 of every image, depth and mask over 5 specs x 2 seeds, as
+        rendered when each view was shaded in one piece."""
+        digest = hashlib.sha256()
+        for spec in self.SPECS:
+            for seed in (3, 11):
+                for view in render_synthetic_scene(spec, seed=seed).views:
+                    for array in (view.image, view.depth, view.mask):
+                        digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "19739f77970ee72e9f25f7a53ee0c882ee2bd8fdaf180faa261bb607349b5b31")
+
+    @pytest.mark.parametrize("block", [1, 3 * 9 * 52, 1 << 30])
+    def test_block_size_does_not_change_the_image(self, monkeypatch, block):
+        """One row, three rows (a partial last block) and the whole image at a time."""
+        spec = self.SPECS[3]
+        want = render_synthetic_scene(spec, seed=4)
+        monkeypatch.setattr(scene_module, "_RENDER_BLOCK", block)
+        for a, b in zip(render_synthetic_scene(spec, seed=4).views, want.views):
+            assert np.array_equal(a.image, b.image)
 
 
 class TestSceneSpecValidation:

@@ -193,6 +193,24 @@ class TestConv2d:
         out = ad.conv2d(ad.tensor(x), ad.tensor(np.ones((1, 1, 1, 1))))
         np.testing.assert_allclose(out.data, x)
 
+    @pytest.mark.parametrize("shape", [(64, 10, 1024), (8, 5, 64, 200)])
+    def test_1x1_over_blocks_is_a_channel_product(self, f64, rng, shape):
+        """A 1x1 conv reads its blocks straight from the input (here a
+        strided view): several blocks, forward and both gradients."""
+        base = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+        x = ad.tensor(base[..., ::2], requires_grad=True)
+        c_out, nd = 3, len(shape) - 1
+        k = ad.tensor(rng.standard_normal((c_out, shape[0]) + (1,) * nd), requires_grad=True)
+        out = (ad.conv2d if nd == 2 else ad.conv3d)(x, k)
+        g = rng.standard_normal(out.shape)
+        ad.sum_(out * ad.tensor(g)).backward()
+        x_mat, k_mat = x.data.reshape(shape[0], -1), k.data.reshape(c_out, -1)
+        np.testing.assert_allclose(out.data.reshape(c_out, -1), k_mat @ x_mat, rtol=1e-12)
+        np.testing.assert_allclose(x.grad.reshape(shape[0], -1), k_mat.T @ g.reshape(c_out, -1),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(k.grad.reshape(c_out, -1), g.reshape(c_out, -1) @ x_mat.T,
+                                   rtol=1e-12)
+
     def test_averaging_kernel_on_constant_image(self, f64):
         x = ad.tensor(np.full((1, 6, 7), 3.5))
         k = ad.tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
