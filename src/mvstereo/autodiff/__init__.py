@@ -22,7 +22,6 @@ from .ops import (
     div,
     elu,
     exp,
-    flatten,
     getitem,
     layer_norm,
     log,
@@ -56,7 +55,7 @@ __all__ = [
     "ContractError", "DimensionError", "Node", "Tape", "Tensor",
     "as_tensor", "get_default_dtype", "grad_enabled", "nan_checks_enabled",
     "no_grad", "precision", "set_default_dtype", "set_nan_checks", "tensor",
-    "add", "concat", "div", "elu", "exp", "flatten", "getitem", "layer_norm",
+    "add", "concat", "div", "elu", "exp", "getitem", "layer_norm",
     "log", "matmul", "max_with_argmax", "maximum", "mean", "mul", "neg",
     "pow_const", "relu", "reshape", "softmax", "sqrt", "stack", "sub",
     "sum_", "take_along_axis", "transpose",

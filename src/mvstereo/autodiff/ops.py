@@ -16,7 +16,7 @@ from .tensor import (
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_const", "exp", "log", "sqrt",
-    "relu", "elu", "maximum", "matmul", "reshape", "flatten", "transpose",
+    "relu", "elu", "maximum", "matmul", "reshape", "transpose",
     "getitem", "concat", "stack", "take_along_axis", "sum_", "mean",
     "max_with_argmax", "softmax", "layer_norm",
 ]
@@ -161,10 +161,6 @@ def reshape(a, shape):
     out = a.data.reshape(shape)
     source = a.shape
     return make_op("reshape", out, (a,), lambda g: (g.reshape(source),))
-
-
-def flatten(a):
-    return reshape(a, (-1,))
 
 
 def transpose(a, axes=None):

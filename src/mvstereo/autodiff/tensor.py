@@ -17,9 +17,9 @@ is therefore acyclic and owned by its root: dropping the loss frees every
 node, saved array and closure by reference counting, without waiting for
 the cyclic garbage collector.
 
-Element precision (float32 or float64) is a process-global switch so the
-same code can run finite-difference checks in 64-bit and training in
-32-bit.
+Element precision (float32 or float64), tape recording and NaN checks are
+per-thread switches, so the same code can run finite-difference checks in
+64-bit and training in 32-bit.
 """
 
 from __future__ import annotations
@@ -55,11 +55,16 @@ class ContractError(RuntimeError):
     """An operation was invoked outside its stated preconditions."""
 
 
-_state = threading.local()
+class _Flags(threading.local):
+    """The engine's per-thread switches; the class attributes are the
+    defaults a thread starts from."""
+
+    dtype = np.dtype(np.float32)
+    grad = True
+    nan_checks = False
 
 
-def _get(attr: str, default):
-    return getattr(_state, attr, default)
+_state = _Flags()
 
 
 def set_default_dtype(dtype) -> None:
@@ -71,7 +76,7 @@ def set_default_dtype(dtype) -> None:
 
 
 def get_default_dtype() -> np.dtype:
-    return _get("dtype", np.dtype(np.float32))
+    return _state.dtype
 
 
 class precision:
@@ -91,7 +96,7 @@ class precision:
 
 
 def grad_enabled() -> bool:
-    return _get("grad", True)
+    return _state.grad
 
 
 class no_grad:
@@ -113,7 +118,7 @@ def set_nan_checks(enabled: bool) -> None:
 
 
 def nan_checks_enabled() -> bool:
-    return _get("nan_checks", False)
+    return _state.nan_checks
 
 
 class Node:
@@ -156,7 +161,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or get_default_dtype())
+        self.data = np.asarray(data, dtype=dtype or _state.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: Node | None = None
@@ -213,63 +218,49 @@ class Tensor:
 
     # -- operator sugar (implementations live in ops.py) ----------------------
     def __add__(self, other):
-        from . import ops
         return ops.add(self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        from . import ops
         return ops.mul(self, other)
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        from . import ops
         return ops.sub(self, other)
 
     def __rsub__(self, other):
-        from . import ops
         return ops.sub(other, self)
 
     def __truediv__(self, other):
-        from . import ops
         return ops.div(self, other)
 
     def __rtruediv__(self, other):
-        from . import ops
         return ops.div(other, self)
 
     def __neg__(self):
-        from . import ops
         return ops.neg(self)
 
     def __pow__(self, exponent):
-        from . import ops
         return ops.pow_const(self, exponent)
 
     def __matmul__(self, other):
-        from . import ops
         return ops.matmul(self, other)
 
     def __getitem__(self, key):
-        from . import ops
         return ops.getitem(self, key)
 
     def reshape(self, *shape):
-        from . import ops
         return ops.reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
     def transpose(self, *axes):
-        from . import ops
         return ops.transpose(self, axes if axes else None)
 
     def sum(self, axis=None, keepdims=False):
-        from . import ops
         return ops.sum_(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
-        from . import ops
         return ops.mean(self, axis=axis, keepdims=keepdims)
 
 
@@ -281,8 +272,7 @@ def as_tensor(value, like: Tensor | None = None) -> Tensor:
     """Wrap scalars/arrays as constant tensors; pass tensors through."""
     if isinstance(value, Tensor):
         return value
-    dtype = like.dtype if like is not None else get_default_dtype()
-    return Tensor(np.asarray(value, dtype=dtype), requires_grad=False, dtype=dtype)
+    return Tensor(value, dtype=like.dtype if like is not None else _state.dtype)
 
 
 class Tape:
@@ -357,10 +347,11 @@ class Tape:
 def make_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], Iterable[np.ndarray | None]]) -> Tensor:
     """Create an op output, recording a tape node when gradients are live."""
-    if nan_checks_enabled() and not np.all(np.isfinite(out_data)):
+    state = _state
+    if state.nan_checks and not np.all(np.isfinite(out_data)):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
     out = Tensor(out_data, dtype=out_data.dtype)
-    if grad_enabled() and any(t.requires_grad for t in inputs):
+    if state.grad and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = Node(op, inputs, out, backward_fn)
     return out
@@ -376,3 +367,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+# The operator methods of ``Tensor`` look ``ops.<name>`` up at call time;
+# ops imports this module, so it is bound last.
+from . import ops  # noqa: E402

@@ -18,7 +18,7 @@ from .autodiff import ContractError, DimensionError, Tensor
 
 __all__ = [
     "Intrinsics", "Extrinsics", "CameraView", "DepthHypotheses",
-    "scale_camera", "warp_pixel", "build_warp_grid",
+    "warp_pixel", "build_warp_grid",
     "sample_hypotheses_initial", "refine_hypotheses",
     "project_points", "backproject_pixels",
     "format_camera_text", "parse_camera_text",
@@ -47,13 +47,9 @@ class Intrinsics:
                          [0.0, 0.0, 1.0]])
 
     def scaled(self, factor: float) -> "Intrinsics":
+        """Scale to a pyramid level (all four entries by ``factor``)."""
         return Intrinsics(self.fx * factor, self.fy * factor,
                           self.cx * factor, self.cy * factor)
-
-
-def scale_camera(intrinsics: Intrinsics, factor: float) -> Intrinsics:
-    """Scale intrinsics to a pyramid level (all four entries by ``factor``)."""
-    return intrinsics.scaled(factor)
 
 
 @dataclass(frozen=True)

@@ -181,14 +181,19 @@ def cmd_infer(args) -> int:
 
 
 def _read_prediction(root: Path, view: int, kind: str):
-    """One view's final-stage ``depth`` or ``conf`` map under ``root``, as float64."""
+    """One view's final-stage ``depth`` or ``conf`` map under ``root``, as
+    float64; a map holding a non-finite pixel is rejected by name."""
     import numpy as np
     from .autodiff import ContractError
     from .fileio import read_pfm
     path = root / f"view_{view:04d}" / f"{kind}_stage3.pfm"
     if not path.is_file():
         raise ContractError(f"{path}: no such map; `mvstereo infer` writes it")
-    return read_pfm(path).astype(np.float64)
+    values = read_pfm(path).astype(np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ContractError(f"{path}: {bad} non-finite pixel(s) of {values.size}")
+    return values
 
 
 def cmd_fuse(args) -> int:
@@ -305,8 +310,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_print_config(args) -> int:
-    from .config import default_config_text
-    sys.stdout.write(default_config_text())
+    from .config import config_text
+    sys.stdout.write(config_text(_load_config(args.config)))
     return 0
 
 
@@ -382,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("print-config", help="print the default configuration")
+    p = sub.add_parser("print-config",
+                       help="print every config key: the defaults, or --config's values")
+    common(p)
     p.set_defaults(func=cmd_print_config)
 
     return parser

@@ -1,14 +1,16 @@
 """Run configuration: a flat sectioned key-value text format.
 
-Every key has a default; unknown sections or keys are rejected with the
+A section's keys are its settings dataclass's fields, in declaration order,
+parsed by their annotations. Unknown sections or keys are rejected with the
 offending name so typos fail loudly before any work starts.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .fusion import FusionThresholds
@@ -16,7 +18,7 @@ from .model import CascadeConfig, ModelConfig
 from .scene import SceneSpec
 from .training import LossConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "default_config_text"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "config_text", "default_config_text"]
 
 
 class ConfigError(ValueError):
@@ -43,7 +45,6 @@ class RunConfig:
     cascade_range_explicit: bool = False
 
 
-# (section, key) -> (target dataclass attr path, parser)
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -53,78 +54,38 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got '{s}'")
 
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.replace(",", " ").split())
+def _parse_tuple(s: str, kind=float, length: int | None = None) -> tuple:
+    vals = tuple(kind(x) for x in s.replace(",", " ").split())
+    if length is not None and len(vals) != length:
+        raise ConfigError(f"expected {length} numbers, got '{s}'")
+    return vals
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.replace(",", " ").split())
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[int, ...]": functools.partial(_parse_tuple, kind=int),
+            "tuple[float, ...]": _parse_tuple}
 
 
-def _parse_pair(s: str) -> tuple[float, float]:
-    vals = _parse_floats(s)
-    if len(vals) != 2:
-        raise ConfigError(f"expected two numbers, got '{s}'")
-    return vals  # type: ignore[return-value]
+def _parser(annotation: str):
+    """The text parser for a field whose annotation string is ``annotation``."""
+    if annotation in _PARSERS:
+        return _PARSERS[annotation]
+    items = annotation.removeprefix("tuple[").removesuffix("]").split(", ")
+    if annotation.startswith("tuple[") and set(items) == {"float"}:
+        return functools.partial(_parse_tuple, length=len(items))
+    raise TypeError(f"no config parser for the annotation '{annotation}'")
 
 
-def _parse_triple(s: str) -> tuple[float, float, float]:
-    vals = _parse_floats(s)
-    if len(vals) != 3:
-        raise ConfigError(f"expected three numbers, got '{s}'")
-    return vals  # type: ignore[return-value]
+def _keys(cls) -> dict[str, object]:
+    """A section's keys and their parsers; ``ModelConfig.cascade`` is the
+    ``[cascade]`` section, not a key."""
+    return {f.name: _parser(f.type) for f in fields(cls)
+            if (cls, f.name) != (ModelConfig, "cascade")}
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "scene": {
-        "kind": ("kind", str),
-        "height": ("height", int),
-        "width": ("width", int),
-        "n_views": ("n_views", int),
-        "focal": ("focal", float),
-        "baseline": ("baseline", float),
-        "d_min": ("d_min", float),
-        "d_max": ("d_max", float),
-        "plane_depth": ("plane_depth", float),
-        "plane_tilt": ("plane_tilt", _parse_pair),
-        "sphere_depth": ("sphere_depth", float),
-        "sphere_radius": ("sphere_radius", float),
-        "checker_size": ("checker_size", float),
-        "noise_freq": ("noise_freq", float),
-        "light": ("light", _parse_triple),
-        "ambient": ("ambient", float),
-        "jitter": ("jitter", float),
-        "parallel_rig": ("parallel_rig", _parse_bool),
-        "supersample": ("supersample", int),
-    },
-    "model": {
-        "n_blocks": ("n_blocks", int),
-        "n_heads": ("n_heads", int),
-        "attention_normalized": ("attention_normalized", _parse_bool),
-        "use_pathway": ("use_pathway", _parse_bool),
-    },
-    "cascade": {
-        "counts": ("counts", _parse_ints),
-        "decays": ("decays", _parse_floats),
-        "d_min": ("d_min", float),
-        "d_max": ("d_max", float),
-    },
-    "loss": {
-        "gamma": ("gamma", float),
-        "stage_weights": ("stage_weights", _parse_floats),
-    },
-    "train": {
-        "steps": ("steps", int),
-        "learning_rate": ("learning_rate", float),
-        "decay_factor": ("decay_factor", float),
-        "decay_steps": ("decay_steps", _parse_ints),
-    },
-    "fusion": {
-        "confidence": ("confidence", float),
-        "pixel": ("pixel", float),
-        "relative": ("relative", float),
-    },
-}
+_SECTIONS = {section: _keys(cls) for section, cls in (
+    ("scene", SceneSpec), ("model", ModelConfig), ("cascade", CascadeConfig),
+    ("loss", LossConfig), ("train", TrainSettings), ("fusion", FusionThresholds))}
 
 
 def load_config(path=None, text: str | None = None) -> RunConfig:
@@ -143,16 +104,15 @@ def load_config(path=None, text: str | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
+    values: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section '[{section}]'")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown config key '{key}' in section '[{section}]'")
-            attr, convert = _SCHEMA[section][key]
             try:
-                values[section][attr] = convert(raw)
+                values[section][key] = _SECTIONS[section][key](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for '{section}.{key}': {raw!r}") from exc
 
@@ -161,18 +121,17 @@ def load_config(path=None, text: str | None = None) -> RunConfig:
                          for key in ("d_min", "d_max"))
     try:
         scene = SceneSpec(**values["scene"])
-        cascade_kwargs = dict(values["cascade"])
-        cascade_kwargs.setdefault("d_min", scene.d_min)
-        cascade_kwargs.setdefault("d_max", scene.d_max)
-        cascade = CascadeConfig(**cascade_kwargs)
-        model = ModelConfig(cascade=cascade, **values["model"])
-        loss = LossConfig(**values["loss"])
-        train = TrainSettings(**values["train"])
-        fusion = FusionThresholds(**values["fusion"])
+        # The one cross-section rule: the cascade sweeps the scene's range
+        # unless its own range is given.
+        cascade = CascadeConfig(**{"d_min": scene.d_min, "d_max": scene.d_max,
+                                   **values["cascade"]})
+        return RunConfig(scene=scene, model=ModelConfig(cascade=cascade, **values["model"]),
+                         loss=LossConfig(**values["loss"]),
+                         train=TrainSettings(**values["train"]),
+                         fusion=FusionThresholds(**values["fusion"]),
+                         cascade_range_explicit=range_explicit)
     except Exception as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return RunConfig(scene=scene, model=model, loss=loss, train=train, fusion=fusion,
-                     cascade_range_explicit=range_explicit)
 
 
 def _format_value(value) -> str:
@@ -183,18 +142,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def default_config_text() -> str:
-    """All sections and keys with their default values, ready to edit."""
-    cfg = RunConfig()
-    sources = {
-        "scene": cfg.scene, "model": cfg.model, "cascade": cfg.model.cascade,
-        "loss": cfg.loss, "train": cfg.train, "fusion": cfg.fusion,
-    }
+def config_text(cfg: RunConfig) -> str:
+    """Every section and key of ``cfg``, in the text format ``load_config`` reads."""
     out = io.StringIO()
-    for section, schema in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
+        settings = cfg.model.cascade if section == "cascade" else getattr(cfg, section)
         out.write(f"[{section}]\n")
-        src = sources[section]
-        for key, (attr, _) in schema.items():
-            out.write(f"{key} = {_format_value(getattr(src, attr))}\n")
+        for key in keys:
+            out.write(f"{key} = {_format_value(getattr(settings, key))}\n")
         out.write("\n")
     return out.getvalue()
+
+
+def default_config_text() -> str:
+    """All sections and keys with their default values, ready to edit."""
+    return config_text(RunConfig())

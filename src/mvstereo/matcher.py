@@ -19,7 +19,6 @@ from .nn import Linear, Module
 __all__ = [
     "positional_encode", "feature_map", "linear_attention", "attention_oracle",
     "softmax_attention", "AttentionBlock", "MatchingTransformer",
-    "linear_attention_flops", "softmax_attention_flops",
 ]
 
 NORMALIZER_EPS = 1e-6
@@ -127,17 +126,6 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         scores /= scores.sum(axis=1, keepdims=True)
         out[start:stop] = scores @ v
     return out
-
-
-def linear_attention_flops(length: int, channels: int, n_heads: int = 1) -> int:
-    """Multiply count of the factored path: linear in sequence length."""
-    d = channels // n_heads
-    per_head = 2 * length * d * d + 3 * length * d
-    return n_heads * per_head + 2 * length * channels  # + feature maps
-
-
-def softmax_attention_flops(length: int, channels: int) -> int:
-    return 2 * length * length * channels + 3 * length * length
 
 
 class AttentionUnit(Module):

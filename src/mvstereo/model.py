@@ -15,7 +15,6 @@ from .cameras import (
     DepthHypotheses,
     refine_hypotheses,
     sample_hypotheses_initial,
-    scale_camera,
 )
 from .costvolume import aggregate_correlation, pairwise_correlation, warp_source_features
 from .features import PYRAMID_CHANNELS, DeformableConv2d, FeaturePyramidNet, PathwayMerge
@@ -174,11 +173,11 @@ class StereoModel(Module):
                      views: list[CameraView], scale: float) -> Tensor:
         """Saliency-aggregated correlation of every source against the reference."""
         ref_view = views[0]
-        ref_intr = scale_camera(ref_view.intrinsics, scale)
+        ref_intr = ref_view.intrinsics.scaled(scale)
         # No name holds a warped volume: each dies inside its correlation.
         pairs = [pairwise_correlation(feats[0], *warp_source_features(
                      feat, hyps, ref_intr, ref_view.extrinsics,
-                     scale_camera(view.intrinsics, scale), view.extrinsics))
+                     view.intrinsics.scaled(scale), view.extrinsics))
                  for feat, view in zip(feats[1:], views[1:])]
         volumes, masks = zip(*pairs)
         return aggregate_correlation(ad.stack(volumes), np.stack(masks))

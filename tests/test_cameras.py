@@ -18,7 +18,6 @@ from mvstereo.cameras import (
     project_points,
     refine_hypotheses,
     sample_hypotheses_initial,
-    scale_camera,
     warp_pixel,
 )
 from mvstereo.fileio import load_camera_file
@@ -54,8 +53,8 @@ class TestCameraTypes:
 
     def test_scale_camera(self):
         intr = _simple_intr()
-        assert scale_camera(intr, 1.0) == intr
-        quarter = scale_camera(intr, 0.25)
+        assert intr.scaled(1.0) == intr
+        quarter = intr.scaled(0.25)
         assert (quarter.fx, quarter.fy, quarter.cx, quarter.cy) == (12.5, 13.75, 5.0, 3.75)
 
     def test_scaled_projection_equals_scaled_pixels(self, rng):
@@ -63,7 +62,7 @@ class TestCameraTypes:
         intr = _simple_intr()
         pts = rng.uniform(-1, 1, size=(20, 3)) + np.array([0, 0, 3.0])
         full, _ = project_points(intr, IDENTITY, pts)
-        quarter, _ = project_points(scale_camera(intr, 0.25), IDENTITY, pts)
+        quarter, _ = project_points(intr.scaled(0.25), IDENTITY, pts)
         np.testing.assert_allclose(quarter, 0.25 * full, rtol=1e-12)
 
 

@@ -1,17 +1,40 @@
 """Configuration parsing and command-line behavior."""
 
+import configparser
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mvstereo.config import ConfigError, default_config_text, load_config
+from mvstereo.config import ConfigError, config_text, default_config_text, load_config
 
 
 def run_cli(*args, timeout=240):
     return subprocess.run([sys.executable, "-m", "mvstereo.cli", *args],
                           capture_output=True, text=True, timeout=timeout)
+
+
+# A non-default value for every key of every section.
+EVERY_KEY = {
+    "scene": {"kind": "sphere", "height": 32, "width": 40, "n_views": 4, "focal": 50.0,
+              "baseline": 0.5, "d_min": 1.0, "d_max": 4.0, "plane_depth": 2.5,
+              "plane_tilt": (0.1, 0.2), "sphere_depth": 2.0, "sphere_radius": 0.5,
+              "checker_size": 0.3, "noise_freq": 7.0, "light": (0.1, 0.2, -0.9),
+              "ambient": 0.4, "jitter": 0.1, "parallel_rig": True, "supersample": 3},
+    "model": {"n_blocks": 2, "n_heads": 4, "attention_normalized": False,
+              "use_pathway": False},
+    "cascade": {"counts": (12, 6, 2), "decays": (0.9, 0.3, 0.4), "d_min": 1.1, "d_max": 3.9},
+    "loss": {"gamma": 2.0, "stage_weights": (0.5, 1.0, 2.0)},
+    "train": {"steps": 10, "learning_rate": 0.01, "decay_factor": 0.1,
+              "decay_steps": (3, 6, 9)},
+    "fusion": {"confidence": 0.5, "pixel": 2.0, "relative": 0.02},
+}
+
+
+def _sections(cfg):
+    return {"scene": cfg.scene, "model": cfg.model, "cascade": cfg.model.cascade,
+            "loss": cfg.loss, "train": cfg.train, "fusion": cfg.fusion}
 
 
 class TestConfig:
@@ -59,6 +82,47 @@ use_pathway = false
         cfg = load_config(text=text)
         assert cfg.model.cascade.counts == (16, 8, 4)
 
+    def test_every_key_reads_back(self):
+        """Each key set to a non-default value reads back through load_config,
+        and the written configuration reads back whole."""
+        def written(value):
+            if isinstance(value, tuple):
+                return ", ".join(map(str, value))
+            return str(value).lower()
+
+        text = "".join(f"[{section}]\n" + "".join(f"{k} = {written(v)}\n"
+                                                  for k, v in keys.items())
+                       for section, keys in EVERY_KEY.items())
+        cfg = load_config(text=text)
+        default = _sections(load_config())
+        for section, settings in _sections(cfg).items():
+            for key, value in EVERY_KEY[section].items():
+                assert getattr(default[section], key) != value, f"{section}.{key}"
+                assert getattr(settings, key) == value, f"{section}.{key}"
+        printed = configparser.ConfigParser()
+        printed.optionxform = str
+        printed.read_string(default_config_text())
+        assert {s: list(printed[s]) for s in printed.sections()} == \
+            {s: list(keys) for s, keys in EVERY_KEY.items()}, "a key has no test value"
+        assert load_config(text=config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("line", ["light = 1, 2", "plane_tilt = 1, 2, 3"])
+    def test_fixed_length_tuple_checks_its_length(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"scene.{key}"):
+            load_config(text=f"[scene]\n{line}\n")
+
+    def test_field_without_a_parser_fails(self):
+        from dataclasses import dataclass
+        from mvstereo import config
+
+        @dataclass
+        class Odd:
+            ratio: "complex" = 1j
+
+        with pytest.raises(TypeError, match="'complex'"):
+            config._keys(Odd)
+
     @pytest.mark.parametrize("section, key", [("cascade", "weights"), ("train", "n_scenes"),
                                               ("model", "normalize_correlation")])
     def test_removed_keys_rejected_with_name(self, section, key):
@@ -80,6 +144,22 @@ class TestCliBasics:
         result = run_cli("print-config")
         assert result.returncode == 0
         assert "[cascade]" in result.stdout and "counts = 16, 8, 4" in result.stdout
+
+    @pytest.mark.parametrize("args", [("print-config", "--threads", "1", "--seed", "3"),
+                                      ("--threads", "1", "print-config")])
+    def test_print_config_takes_the_common_options(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == default_config_text()
+
+    def test_print_config_prints_the_given_file(self, tmp_path):
+        """Every key, with the file's values in place of the defaults."""
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text("[loss]\ngamma = 2.0\n")
+        result = run_cli("print-config", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert "gamma = 2.0" in result.stdout.splitlines()
+        assert result.stdout == default_config_text().replace("gamma = 0.0", "gamma = 2.0")
 
     def test_bad_config_key_exit_code_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -408,6 +488,38 @@ class TestCliPipeline:
         assert len(result.stderr.strip().splitlines()) == 1
         assert named in result.stderr
         assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("command, kind", [("fuse", "depth"), ("fuse", "conf"),
+                                               ("eval", "depth")])
+    def test_non_finite_prediction_exits_1_naming_it(self, small_scene_dir, tmp_path,
+                                                     command, kind, value):
+        """A non-finite pixel in a depth or confidence map exits 1 with one
+        stderr line naming the map and the count, and no numpy warning.
+        ``eval --mode depth`` reads no confidence map."""
+        from mvstereo.fileio import load_scene, write_pfm
+        scene = small_scene_dir / "scenes" / "scene_0000"
+        views, _ = load_scene(scene)
+        for i, view in enumerate(views):
+            vdir = tmp_path / "pred" / f"view_{i:04d}"
+            vdir.mkdir(parents=True)
+            maps = {"depth": view.depth.copy(), "conf": np.ones_like(view.depth)}
+            if i == 1:
+                maps[kind][3, 2:4] = value
+            for name, data in maps.items():
+                write_pfm(vdir / f"{name}_stage3.pfm", data)
+        if command == "fuse":
+            args = ("fuse", "--scene", str(scene), "--depths", str(tmp_path / "pred"),
+                    "--out", str(tmp_path / "fused"))
+        else:
+            args = ("eval", "--mode", "depth", "--scene", str(scene),
+                    "--pred", str(tmp_path / "pred"))
+        result = run_cli(*args)
+        assert result.returncode == 1
+        bad = tmp_path / "pred" / "view_0001" / f"{kind}_stage3.pfm"
+        assert result.stderr.strip().splitlines() == [
+            f"error: {bad}: 2 non-finite pixel(s) of 256"]
+        assert not (tmp_path / "fused").exists()
 
     def test_parser_is_built_once(self, capsys):
         from mvstereo import cli

@@ -269,6 +269,25 @@ class TestTrainStep:
             train_step(model, scene.views, opt, LossConfig())
 
 
+class TestLossWithoutTape:
+    @pytest.mark.parametrize("name", ["fpn.enc1a.weight", "reg2.c1.weight"])
+    def test_no_grad_loss_equals_recorded_loss_when_perturbed(self, f64, name):
+        """Finite-difference probes evaluate the loss under no_grad: at a
+        perturbed feature-path or regularizer parameter, every no-grad
+        evaluation (features reused or not) equals the recorded one bit for
+        bit."""
+        scene, model, _ = _tiny_setup(seed=4)
+        flat = model.named_parameters()[name].data.reshape(-1)
+        for index, step in ((0, 1e-5), (5, -1e-5)):
+            flat[index] += step
+            recorded = cascade_loss(model(scene.views), scene.views[0], LossConfig())[0]
+            assert recorded.node is not None
+            with ad.no_grad():
+                for _ in range(3):
+                    loss = cascade_loss(model(scene.views), scene.views[0], LossConfig())[0]
+                    assert loss.node is None and loss.item() == recorded.item()
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, f32, tmp_path, rng):
         _, model, opt = _tiny_setup(seed=4)
