@@ -35,7 +35,6 @@ from .ops import (
     relu,
     reshape,
     softmax,
-    sqrt,
     stack,
     sub,
     sum_,
@@ -57,7 +56,7 @@ __all__ = [
     "no_grad", "precision", "set_default_dtype", "set_nan_checks", "tensor",
     "add", "concat", "div", "elu", "exp", "getitem", "layer_norm",
     "log", "matmul", "max_with_argmax", "maximum", "mean", "mul", "neg",
-    "pow_const", "relu", "reshape", "softmax", "sqrt", "stack", "sub",
+    "pow_const", "relu", "reshape", "softmax", "stack", "sub",
     "sum_", "take_along_axis", "transpose",
     "conv2d", "conv3d",
     "deformable_conv2d", "grid_sample_2d", "upsample_bilinear_2x", "upsample_trilinear_2x",

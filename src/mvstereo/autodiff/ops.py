@@ -15,7 +15,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "pow_const", "exp", "log", "sqrt",
+    "add", "sub", "mul", "div", "neg", "pow_const", "exp", "log",
     "relu", "elu", "maximum", "matmul", "reshape", "transpose",
     "getitem", "concat", "stack", "take_along_axis", "sum_", "mean",
     "max_with_argmax", "softmax", "layer_norm",
@@ -103,12 +103,6 @@ def log(a):
     a = as_tensor(a)
     x = a.data
     return make_op("log", np.log(x), (a,), lambda g: (g / x,))
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return make_op("sqrt", out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def relu(a):

@@ -172,16 +172,14 @@ def warp_pixel(xy: np.ndarray, depth: np.ndarray,
 class DepthHypotheses:
     """Discretized depth candidates for one cascade stage.
 
-    ``values`` is (D,) for the global uniform stage-1 form, or (H, W, D)
-    per-pixel after refinement. Values are strictly increasing along the
+    ``values`` is (D,) for the uniform stage-1 sweep, or (H, W, D) per
+    pixel after refinement; every consumer broadcasts a (D,) record
+    against the (H, W, D) volume. Values are strictly increasing along the
     depth axis and positive everywhere.
     """
 
-    stage: int
     values: np.ndarray
     interval: float
-    d_min: float
-    d_max: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -197,34 +195,26 @@ class DepthHypotheses:
     def count(self) -> int:
         return self.values.shape[-1]
 
-    @property
-    def is_global(self) -> bool:
-        return self.values.ndim == 1
-
     def planes(self, height: int, width: int) -> np.ndarray:
         """Hypotheses as (D, H, W) depth planes."""
-        if self.is_global:
-            return np.broadcast_to(self.values[:, None, None],
-                                   (self.count, height, width)).copy()
-        if self.values.shape[:2] != (height, width):
+        if self.values.shape[:-1] not in ((), (height, width)):
             raise DimensionError(
                 f"per-pixel hypotheses {self.values.shape} do not match ({height},{width})")
-        return np.ascontiguousarray(np.moveaxis(self.values, -1, 0))
+        plane = np.broadcast_to(self.values, (height, width, self.count))
+        return np.ascontiguousarray(np.moveaxis(plane, -1, 0))
 
 
-def sample_hypotheses_initial(d_min: float, d_max: float, count: int,
-                              stage: int = 1) -> DepthHypotheses:
+def sample_hypotheses_initial(d_min: float, d_max: float, count: int) -> DepthHypotheses:
     """Uniform samples over [d_min, d_max], endpoints included."""
     if count < 2 or d_max <= d_min or d_min <= 0:
         raise ContractError(f"bad hypothesis range ({d_min}, {d_max}, {count})")
     values = np.linspace(d_min, d_max, count)
     interval = (d_max - d_min) / (count - 1)
-    return DepthHypotheses(stage, values, interval, d_min, d_max)
+    return DepthHypotheses(values, interval)
 
 
 def refine_hypotheses(prev_depth: np.ndarray, count: int, decay: float,
-                      prev_interval: float, d_min: float, d_max: float,
-                      stage: int) -> DepthHypotheses:
+                      prev_interval: float, d_min: float, d_max: float) -> DepthHypotheses:
     """Per-pixel window of ``count`` samples centered on the previous depth.
 
     The sample step is the previous interval scaled by ``decay``. Windows
@@ -245,27 +235,24 @@ def refine_hypotheses(prev_depth: np.ndarray, count: int, decay: float,
     else:
         vals = vals + np.maximum(0.0, d_min - vals[..., :1])
         vals = vals - np.maximum(0.0, vals[..., -1:] - d_max)
-    return DepthHypotheses(stage, vals, interval, d_min, d_max)
+    return DepthHypotheses(vals, interval)
 
 
-def build_warp_grid(hyps, ref_intr: Intrinsics, ref_extr: Extrinsics,
-                    src_intr: Intrinsics, src_extr: Extrinsics,
-                    height: int, width: int) -> tuple[Tensor, np.ndarray]:
+def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
+                    src_intr: Intrinsics, src_extr: Extrinsics) -> tuple[Tensor, np.ndarray]:
     """Per-hypothesis sampling grid into a source view.
 
-    ``hyps`` may be a DepthHypotheses or a (D, H, W) tensor of per-pixel
-    depths; in the latter case the grid is differentiable w.r.t. depth.
-    Returns a (D, H, W, 2) grid of source-pixel coordinates suitable for
-    grid_sample_2d, plus a (D, H, W) bool mask that is False where the
-    back-projected point falls behind the source camera (those grid
-    entries are pushed far out of bounds so sampling also masks them).
+    ``depth`` holds (D, H, W) depth planes, an array or a tensor; the grid
+    is differentiable w.r.t. a tensor's depths. Returns a (D, H, W, 2)
+    grid of source-pixel coordinates suitable for grid_sample_2d, plus a
+    (D, H, W) bool mask that is False where the back-projected point falls
+    behind the source camera (those grid entries are pushed far out of
+    bounds so sampling also masks them).
     """
-    if isinstance(hyps, DepthHypotheses):
-        depth = ad.tensor(hyps.planes(height, width))
-    else:
-        depth = ad.as_tensor(hyps)
-        if depth.ndim != 3 or depth.shape[1:] != (height, width):
-            raise DimensionError(f"depth planes must be (D,{height},{width}), got {depth.shape}")
+    depth = ad.as_tensor(depth)
+    if depth.ndim != 3:
+        raise DimensionError(f"depth planes must be (D,H,W), got {depth.shape}")
+    _, height, width = depth.shape
 
     r_rel, t_rel = relative_pose(ref_extr, src_extr)
     ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),

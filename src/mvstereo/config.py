@@ -40,8 +40,8 @@ class RunConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     fusion: FusionThresholds = field(default_factory=FusionThresholds)
-    # False when the cascade depth range was not set explicitly: commands
-    # operating on an existing scene then adopt the scene's own range.
+    # True when ``[cascade]`` names d_min or d_max. Otherwise commands
+    # operating on an existing scene adopt the scene's own range.
     cascade_range_explicit: bool = False
 
 
@@ -86,6 +86,7 @@ def _keys(cls) -> dict[str, object]:
 _SECTIONS = {section: _keys(cls) for section, cls in (
     ("scene", SceneSpec), ("model", ModelConfig), ("cascade", CascadeConfig),
     ("loss", LossConfig), ("train", TrainSettings), ("fusion", FusionThresholds))}
+_RANGE_KEYS = ("d_min", "d_max")
 
 
 def load_config(path=None, text: str | None = None) -> RunConfig:
@@ -116,9 +117,7 @@ def load_config(path=None, text: str | None = None) -> RunConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for '{section}.{key}': {raw!r}") from exc
 
-    range_explicit = any(key in values[section]
-                         for section in ("cascade", "scene")
-                         for key in ("d_min", "d_max"))
+    range_explicit = any(key in values["cascade"] for key in _RANGE_KEYS)
     try:
         scene = SceneSpec(**values["scene"])
         # The one cross-section rule: the cascade sweeps the scene's range
@@ -143,12 +142,15 @@ def _format_value(value) -> str:
 
 
 def config_text(cfg: RunConfig) -> str:
-    """Every section and key of ``cfg``, in the text format ``load_config`` reads."""
+    """Every section and key of ``cfg``, in the text format ``load_config`` reads;
+    the ``[cascade]`` range only if explicit, so the output adopts a scene's range."""
     out = io.StringIO()
     for section, keys in _SECTIONS.items():
         settings = cfg.model.cascade if section == "cascade" else getattr(cfg, section)
         out.write(f"[{section}]\n")
         for key in keys:
+            if section == "cascade" and key in _RANGE_KEYS and not cfg.cascade_range_explicit:
+                continue
             out.write(f"{key} = {_format_value(getattr(settings, key))}\n")
         out.write("\n")
     return out.getvalue()

@@ -14,49 +14,42 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DimensionError, Tensor
-from .cameras import DepthHypotheses, Extrinsics, Intrinsics, build_warp_grid
+from .cameras import Extrinsics, Intrinsics, build_warp_grid
 
 __all__ = ["warp_source_features", "pairwise_correlation", "aggregate_correlation"]
 
 _MASK_FILL = 1e9  # pushed below every real correlation before the saliency max
 
 
-def warp_source_features(src_feat: Tensor, hyps,
+def warp_source_features(src_feat: Tensor, depth,
                          ref_intr: Intrinsics, ref_extr: Extrinsics,
                          src_intr: Intrinsics, src_extr: Extrinsics
                          ) -> tuple[Tensor, np.ndarray]:
-    """Sample a source feature map at every depth hypothesis.
+    """Sample a source feature map at every depth plane.
 
-    Returns warped features (D, F, H', W') and a validity mask (D, H', W')
-    that is False where the warp leaves the source image or lands behind
-    the source camera. ``hyps`` may be DepthHypotheses or a (D, H', W')
-    tensor of per-pixel depths (differentiable).
+    ``depth`` holds (D, H', W') depth planes, an array or a tensor
+    (differentiable). Returns warped features (D, F, H', W') and a
+    validity mask (D, H', W') that is False where the warp leaves the
+    source image or lands behind the source camera.
     """
-    _, h, w = src_feat.shape  # feature maps share the stage resolution
-    if isinstance(hyps, DepthHypotheses):
-        height, width = h, w
-    else:
-        height, width = hyps.shape[1:]
-    grid, in_front = build_warp_grid(hyps, ref_intr, ref_extr, src_intr, src_extr,
-                                     height, width)
+    grid, in_front = build_warp_grid(depth, ref_intr, ref_extr, src_intr, src_extr)
     warped, inside = ad.grid_sample_2d(src_feat, grid)
     return warped, in_front & inside
 
 
 def pairwise_correlation(ref_feat: Tensor, warped: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                         mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Inner product over channels: c at (p, d) = <F0(p), warped(d, p)>.
 
-    ``ref_feat`` is (F, H', W'); ``warped`` is (D, F, H', W'). Returns the
-    (H', W', D) volume and its validity mask; masked entries are exact zeros.
+    ``ref_feat`` is (F, H', W'); ``warped`` is (D, F, H', W') with its
+    (D, H', W') validity mask. Returns the (H', W', D) volume and its
+    validity mask; masked entries are exact zeros.
     """
     if ref_feat.ndim != 3 or warped.ndim != 4 or ref_feat.shape[0] != warped.shape[1]:
         raise DimensionError(
             f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")
     corr = ad.sum_(ad.reshape(ref_feat, (1,) + ref_feat.shape) * warped, axis=1)
     corr = ad.transpose(corr, (1, 2, 0))                        # (H', W', D)
-    if mask is None:
-        return corr, np.ones(corr.shape, dtype=bool)
     mask = np.ascontiguousarray(np.moveaxis(mask, 0, -1))
     return corr * ad.tensor(mask.astype(corr.dtype)), mask
 

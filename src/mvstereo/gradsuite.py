@@ -125,7 +125,7 @@ def check_warp_grid(rng) -> float:
     depth = ad.tensor(rng.uniform(1.4, 2.6, size=(2, 4, 5)), requires_grad=True)
     c = _coef(rng, (2, 4, 5, 2))
     def f(d):
-        grid, _ = build_warp_grid(d, intr, ref, intr, src_r, 4, 5)
+        grid, _ = build_warp_grid(d, intr, ref, intr, src_r)
         return ad.sum_(grid * c)
     return gradcheck(f, [depth], max_entries=8, rng=rng)
 

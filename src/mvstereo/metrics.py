@@ -24,7 +24,7 @@ class MetricError(ContractError):
 
 
 class GridIndex:
-    """Uniform-voxel spatial index for exact nearest-neighbor queries.
+    """Uniform-voxel spatial index for exact nearest-neighbor distances.
 
     Points are sorted by linear cell key, with a CSR table of the occupied
     cells (sorted keys, first point, point count). All queries scan growing
@@ -61,9 +61,9 @@ class GridIndex:
         if not (self.cell > 0 and np.log2(extent / self.cell + 1).sum() < 62):
             raise MetricError(f"cell size {self.cell!r} is not positive or gives too many cells")
         linear, self.max_key = self._cell_keys(points, self.cell)
-        self._order = np.argsort(linear, kind="stable")
-        self._xyz = tuple(np.ascontiguousarray(points[self._order, a]) for a in range(3))
-        linear = linear[self._order]
+        order = np.argsort(linear, kind="stable")
+        self._xyz = tuple(np.ascontiguousarray(points[order, a]) for a in range(3))
+        linear = linear[order]
         self._starts = _run_starts(linear)
         self._keys = linear[self._starts]
         self._counts = np.diff(np.append(self._starts, n))
@@ -75,16 +75,12 @@ class GridIndex:
         max_key = np.array([k.max() for k in keys])
         return (keys[0] * (max_key[1] + 1) + keys[1]) * (max_key[2] + 1) + keys[2], max_key
 
-    def nearest(self, query: np.ndarray) -> tuple[float, int]:
-        """Distance and index (in the caller's point order) of the closest point."""
-        d2, index = self._search(np.asarray(query, dtype=np.float64).reshape(1, 3))
-        return float(np.sqrt(d2[0])), int(index[0])
-
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        return np.sqrt(self._search(queries)[0])
+        """Distance from each query (..., 3) to its closest indexed point."""
+        return np.sqrt(self._search(queries))
 
-    def _search(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Squared nearest distances and original point indices.
+    def _search(self, queries) -> np.ndarray:
+        """Squared nearest distances.
 
         Each query starts from its cell clamped into the occupied box: cells
         outside it are empty. A point past ring r lies in a slab of whole
@@ -103,7 +99,7 @@ class GridIndex:
         so distances are bit-identical to it.
         """
         q = _finite_xyz(queries, "queries")
-        best, index = np.full(len(q), np.inf), np.full(len(q), -1)
+        best = np.full(len(q), np.inf)
         qa = np.ascontiguousarray(q.T)
         lo, hi, top_key = self.origin[:, None], self._top[:, None], self.max_key[:, None]
         center = np.clip(np.floor((qa - lo) / self.cell), 0, top_key).astype(np.int64)
@@ -137,8 +133,6 @@ class GridIndex:
                     runs = _run_starts(qq)
                     owners = qq[runs]
                     best[owners] = np.minimum(best[owners], np.minimum.reduceat(d2, runs))
-                    win = d2 == best[qq]
-                    index[qq[win]] = point[win]
             c, up, down, o2 = (x.take(active, axis=1) for x in (center, above, below, out2))
             reach = r * self.cell
             gap = np.minimum(np.where(c + r < top_key, up + reach, np.inf),
@@ -146,7 +140,7 @@ class GridIndex:
             bound = o2.sum(axis=0) + (np.maximum(gap, 0.0) ** 2 - o2).min(axis=0)
             active = active[best[active] > bound * (1.0 - _ROUND)]
             r += 1
-        return best, self._order[index]
+        return best
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

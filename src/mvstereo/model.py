@@ -174,9 +174,10 @@ class StereoModel(Module):
         """Saliency-aggregated correlation of every source against the reference."""
         ref_view = views[0]
         ref_intr = ref_view.intrinsics.scaled(scale)
+        depth = ad.tensor(hyps.planes(*feats[0].shape[1:]))
         # No name holds a warped volume: each dies inside its correlation.
         pairs = [pairwise_correlation(feats[0], *warp_source_features(
-                     feat, hyps, ref_intr, ref_view.extrinsics,
+                     feat, depth, ref_intr, ref_view.extrinsics,
                      view.intrinsics.scaled(scale), view.extrinsics))
                  for feat, view in zip(feats[1:], views[1:])]
         volumes, masks = zip(*pairs)
@@ -203,7 +204,7 @@ class StereoModel(Module):
             if s == 0:
                 # Stage 1: global uniform sweep on the transformed quarter-scale features.
                 feats = self.matcher(scales.pop(0))
-                hyps = sample_hypotheses_initial(d_min, d_max, cfg.counts[0], stage=1)
+                hyps = sample_hypotheses_initial(d_min, d_max, cfg.counts[0])
             else:
                 # Stages 2-3: pathway-merged features, per-pixel refined hypotheses.
                 feats = ([merges[s](c, r) for c, r in zip(feats, scales.pop(0))] if pathway
@@ -212,7 +213,7 @@ class StereoModel(Module):
                 prev_depth = ad.upsample_bilinear_2x(
                     ad.tensor(outputs[-1].estimate.depth[None], dtype=np.float64)).data[0]
                 hyps = refine_hypotheses(prev_depth, cfg.counts[s], cfg.decays[s],
-                                         hyps.interval, d_min, d_max, stage=s + 1)
+                                         hyps.interval, d_min, d_max)
             volume = self._cost_volume(feats, hyps, views, STAGE_SCALES[s])
             if not (pathway and scales):
                 feats = None

@@ -112,10 +112,8 @@ def winner_take_all(prob: Tensor, hyps: DepthHypotheses) -> DepthEstimate:
     p = prob.data
     h, w, d = p.shape
     idx = p.argmax(axis=2)
-    if hyps.is_global:
-        depth = hyps.values[idx]
-    else:
-        depth = np.take_along_axis(hyps.values, idx[..., None], axis=2)[..., 0]
+    values = np.broadcast_to(hyps.values, p.shape)
+    depth = np.take_along_axis(values, idx[..., None], axis=2)[..., 0]
     if d <= 3:
         conf = p.sum(axis=2)
     else:

@@ -60,10 +60,7 @@ def focal_loss(prob: Tensor, gt_depth: np.ndarray,
     if gt.shape != (h, w) or mask.shape != (h, w):
         raise ad.DimensionError(
             f"ground truth {gt.shape}/mask {mask.shape} must match volume plane ({h},{w})")
-    if hyps.is_global:
-        target = np.abs(hyps.values[None, None, :] - gt[..., None]).argmin(axis=2)
-    else:
-        target = np.abs(hyps.values - gt[..., None]).argmin(axis=2)
+    target = np.abs(hyps.values - gt[..., None]).argmin(axis=2)
 
     n_valid = int(mask.sum())
     if n_valid == 0:

@@ -125,7 +125,7 @@ class TestWarpGrid:
     def test_identity_pair_is_integer_lattice(self, f64):
         intr = _simple_intr()
         hyps = sample_hypotheses_initial(1.0, 3.0, 4)
-        grid, in_front = build_warp_grid(hyps, intr, IDENTITY, intr, IDENTITY, 6, 8)
+        grid, in_front = build_warp_grid(hyps.planes(6, 8), intr, IDENTITY, intr, IDENTITY)
         ys, xs = np.meshgrid(np.arange(6.0), np.arange(8.0), indexing="ij")
         for d in range(4):
             np.testing.assert_allclose(grid.data[d, ..., 0], xs, atol=1e-9)
@@ -138,7 +138,7 @@ class TestWarpGrid:
         depth = ad.tensor(rng.uniform(1.2, 2.8, size=(3, 4, 5)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((3, 4, 5, 2)))
         def f(d):
-            grid, _ = build_warp_grid(d, intr, IDENTITY, intr, src, 4, 5)
+            grid, _ = build_warp_grid(d, intr, IDENTITY, intr, src)
             return ad.sum_(grid * c)
         assert ad.gradcheck(f, [depth], max_entries=20) < 1e-4
 
@@ -146,7 +146,7 @@ class TestWarpGrid:
         intr = _simple_intr()
         src = Extrinsics(np.eye(3), np.array([0.0, 0.0, -4.0]))
         hyps = sample_hypotheses_initial(1.0, 6.0, 4)  # depths 1 and ~2.7 behind src
-        grid, in_front = build_warp_grid(hyps, intr, IDENTITY, intr, src, 4, 4)
+        grid, in_front = build_warp_grid(hyps.planes(4, 4), intr, IDENTITY, intr, src)
         assert not in_front[0].any()
         assert in_front[-1].all()
 
@@ -161,28 +161,28 @@ class TestHypotheses:
         """Stage counts 48/32/8 with interval decays 0.25 then 0.5."""
         d_min, d_max = 425.0, 935.0
         s1 = sample_hypotheses_initial(d_min, d_max, 48)
-        s2 = refine_hypotheses(np.full((4, 4), 600.0), 32, 0.25, s1.interval, d_min, d_max, 2)
-        s3 = refine_hypotheses(np.full((8, 8), 600.0), 8, 0.5, s2.interval, d_min, d_max, 3)
+        s2 = refine_hypotheses(np.full((4, 4), 600.0), 32, 0.25, s1.interval, d_min, d_max)
+        s3 = refine_hypotheses(np.full((8, 8), 600.0), 8, 0.5, s2.interval, d_min, d_max)
         assert s2.interval == pytest.approx(s1.interval * 0.25)
         assert s3.interval == pytest.approx(s1.interval * 0.125)
         assert (s1.count, s2.count, s3.count) == (48, 32, 8)
 
     def test_refine_centered_window(self):
-        hyps = refine_hypotheses(np.full((1, 1), 2.0), 4, 0.25, 1.0, 0.5, 5.0, 2)
+        hyps = refine_hypotheses(np.full((1, 1), 2.0), 4, 0.25, 1.0, 0.5, 5.0)
         np.testing.assert_allclose(hyps.values[0, 0], [1.625, 1.875, 2.125, 2.375])
 
     def test_clamp_shifts_whole_window(self):
-        hyps = refine_hypotheses(np.full((2, 2), 1.0), 4, 0.25, 1.0, 1.0, 5.0, 2)
+        hyps = refine_hypotheses(np.full((2, 2), 1.0), 4, 0.25, 1.0, 1.0, 5.0)
         assert hyps.values.min() >= 1.0
         np.testing.assert_allclose(np.diff(hyps.values, axis=-1), 0.25)
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ad.ContractError, match="increasing"):
-            DepthHypotheses(1, np.array([1.0, 1.0, 2.0]), 0.5, 1.0, 2.0)
+            DepthHypotheses(np.array([1.0, 1.0, 2.0]), 0.5)
 
     def test_positive_enforced(self):
         with pytest.raises(ad.ContractError, match="positive"):
-            DepthHypotheses(1, np.array([-1.0, 1.0]), 2.0, 0.1, 1.0)
+            DepthHypotheses(np.array([-1.0, 1.0]), 2.0)
 
 
 class TestCameraText:

@@ -101,10 +101,41 @@ use_pathway = false
                 assert getattr(settings, key) == value, f"{section}.{key}"
         printed = configparser.ConfigParser()
         printed.optionxform = str
-        printed.read_string(default_config_text())
+        printed.read_string(config_text(cfg))
         assert {s: list(printed[s]) for s in printed.sections()} == \
             {s: list(keys) for s, keys in EVERY_KEY.items()}, "a key has no test value"
         assert load_config(text=config_text(cfg)) == cfg
+
+    def test_printed_defaults_leave_the_range_free(self):
+        cfg = load_config(text=default_config_text())
+        assert not cfg.cascade_range_explicit
+        assert cfg == load_config()
+
+    def test_scene_range_alone_leaves_the_range_free(self):
+        cfg = load_config(text="[scene]\nd_min = 1.0\nd_max = 4.0\n")
+        assert not cfg.cascade_range_explicit
+        assert (cfg.model.cascade.d_min, cfg.model.cascade.d_max) == (1.0, 4.0)
+        assert load_config(text=config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("lines, d_range", [("d_min = 1.1\nd_max = 3.9\n", (1.1, 3.9)),
+                                                ("d_max = 3.9\n", (1.2, 3.9))])
+    def test_cascade_range_prints_and_reads_back(self, lines, d_range):
+        cfg = load_config(text="[cascade]\n" + lines)
+        assert cfg.cascade_range_explicit
+        assert (cfg.model.cascade.d_min, cfg.model.cascade.d_max) == d_range
+        text = config_text(cfg)
+        assert f"d_min = {d_range[0]}\nd_max = {d_range[1]}\n" in text.split("[cascade]")[1]
+        assert load_config(text=text) == cfg
+
+    def test_printed_config_adopts_the_scene_range(self):
+        from mvstereo.cli import _adopt_scene_range
+        model = _adopt_scene_range(load_config(text=default_config_text()),
+                                   {"d_min": "0.5", "d_max": "9.0"})
+        assert (model.cascade.d_min, model.cascade.d_max) == (0.5, 9.0)
+        pinned = load_config(text="[cascade]\nd_min = 1.1\n")
+        model = _adopt_scene_range(load_config(text=config_text(pinned)),
+                                   {"d_min": "0.5", "d_max": "9.0"})
+        assert (model.cascade.d_min, model.cascade.d_max) == (1.1, 3.3)
 
     @pytest.mark.parametrize("line", ["light = 1, 2", "plane_tilt = 1, 2, 3"])
     def test_fixed_length_tuple_checks_its_length(self, line):

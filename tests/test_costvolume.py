@@ -44,7 +44,7 @@ class TestPairwiseCorrelation:
     def test_self_correlation_is_squared_norm(self, f64, rng):
         ref = ad.tensor(rng.standard_normal((6, 4, 5)))
         warped = ad.stack([ref, ref, ref], axis=0)
-        volume, _ = pairwise_correlation(ref, warped)
+        volume, _ = pairwise_correlation(ref, warped, np.ones((3, 4, 5), dtype=bool))
         norms = (ref.data ** 2).sum(axis=0)
         for d in range(3):
             np.testing.assert_allclose(volume.data[..., d], norms, rtol=1e-12)
@@ -54,7 +54,8 @@ class TestPairwiseCorrelation:
         ref[0] = 1.0
         warped = np.zeros((2, 4, 2, 2))
         warped[:, 1] = 1.0
-        volume, _ = pairwise_correlation(ad.tensor(ref), ad.tensor(warped))
+        volume, _ = pairwise_correlation(ad.tensor(ref), ad.tensor(warped),
+                                         np.ones((2, 2, 2), dtype=bool))
         np.testing.assert_array_equal(volume.data, np.zeros((2, 2, 2)))
 
     def test_matches_loop_oracle(self, f32, rng):
@@ -69,7 +70,8 @@ class TestPairwiseCorrelation:
     def test_channel_mismatch_rejected(self, f64, rng):
         with pytest.raises(ad.DimensionError, match="channel"):
             pairwise_correlation(ad.tensor(rng.random((4, 3, 3))),
-                                 ad.tensor(rng.random((2, 5, 3, 3))))
+                                 ad.tensor(rng.random((2, 5, 3, 3))),
+                                 np.ones((2, 3, 3), dtype=bool))
 
 
 def aggregate_per_source(volumes, masks):
@@ -157,7 +159,7 @@ class TestWarpedFeatures:
         pose = Extrinsics(np.eye(3), np.zeros(3))
         feat = ad.tensor(rng.standard_normal((6, 8, 10)))
         hyps = sample_hypotheses_initial(1.0, 2.0, 3)
-        warped, mask = warp_source_features(feat, hyps, intr, pose, intr, pose)
+        warped, mask = warp_source_features(feat, hyps.planes(8, 10), intr, pose, intr, pose)
         assert warped.shape == (3, 6, 8, 10)
         assert mask.all()
         for d in range(3):
@@ -175,7 +177,8 @@ class TestWarpedFeatures:
         d0 = float(ref.depth[32, 40])
         hyps = sample_hypotheses_initial(d0 - 0.4, d0 + 0.4, 17)  # center = GT
         warped, mask = warp_source_features(
-            ad.tensor(src.image), hyps, ref.intrinsics, ref.extrinsics,
+            ad.tensor(src.image), hyps.planes(ref.height, ref.width),
+            ref.intrinsics, ref.extrinsics,
             src.intrinsics, src.extrinsics)
         cov = covisible_mask(scene, 0, 1) & mask[8]
         at_gt = np.abs(warped.data[8] - ref.image)[:, cov].mean()
@@ -213,11 +216,12 @@ def matching_hit_rate(scene, depth_count: int = 32) -> tuple[float, int]:
     ref = views[0]
     feats = [raw_patch_features(v.image) for v in views]
     hyps = sample_hypotheses_initial(scene.spec.d_min, scene.spec.d_max, depth_count)
+    depth = hyps.planes(ref.height, ref.width)
     with ad.no_grad():
         pairs = []
         for feat, view in zip(feats[1:], views[1:]):
             warped, mask = warp_source_features(
-                ad.tensor(feat), hyps, ref.intrinsics, ref.extrinsics,
+                ad.tensor(feat), depth, ref.intrinsics, ref.extrinsics,
                 view.intrinsics, view.extrinsics)
             pairs.append(pairwise_correlation(ad.tensor(feats[0]), warped, mask))
         volumes, masks = zip(*pairs)

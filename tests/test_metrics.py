@@ -37,8 +37,7 @@ class TestGridIndex:
 
     def test_single_point(self):
         gi = GridIndex(np.array([[1.0, 2.0, 3.0]]))
-        d, i = gi.nearest(np.array([1.0, 2.0, 5.0]))
-        assert d == pytest.approx(2.0) and i == 0
+        np.testing.assert_array_equal(gi.nearest_distances(np.array([1.0, 2.0, 5.0])), [2.0])
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
@@ -84,13 +83,8 @@ class TestBatchedRingSearch:
             where = "near"
         queries = _queries(rng, points, 200, where)
         cell = None if scale is None else scale * GridIndex(points).cell
-        grid = GridIndex(points, cell)
-        distances = grid.nearest_distances(queries)
+        distances = GridIndex(points, cell).nearest_distances(queries)
         np.testing.assert_array_equal(distances, nearest_distances_bruteforce(queries, points))
-        for q, d in zip(queries[:5], distances):
-            dist, i = grid.nearest(q)
-            assert dist == d
-            assert np.sqrt(((points[i] - q) ** 2).sum(axis=-1)) == d
 
     def test_empty_queries(self, rng):
         out = GridIndex(rng.random((10, 3))).nearest_distances(np.zeros((0, 3)))
@@ -223,7 +217,7 @@ class TestNonFinite:
         with pytest.raises(MetricError, match="non-finite"):
             grid.nearest_distances(queries)
         with pytest.raises(MetricError, match="non-finite"):
-            grid.nearest(queries[2])
+            grid.nearest_distances(queries[2])
         with pytest.raises(MetricError, match="non-finite"):
             cloud_metrics(queries, rng.random((20, 3)), clamp=1.0)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mvstereo import autodiff as ad
-from mvstereo.cameras import sample_hypotheses_initial
+from mvstereo.cameras import DepthHypotheses, sample_hypotheses_initial
 from mvstereo.model import CascadeConfig, ModelConfig, StereoModel
 from mvstereo.regularizer import VolumeRegularizer, probability_volume, winner_take_all
 from mvstereo.scene import SceneSpec, render_synthetic_scene
+from mvstereo.training import focal_loss
 
 
 class TestRegularizer:
@@ -104,6 +105,32 @@ class TestWinnerTakeAll:
         np.testing.assert_array_equal(base.depth, scaled.depth)
 
 
+class TestHypothesisLayout:
+    """A (D,) record and its (H, W, D) broadcast give identical results."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_global_record_equals_its_broadcast(self, f32, rng, d):
+        h, w = 4, 6
+        flat = sample_hypotheses_initial(1.0, 3.0, d)
+        full = DepthHypotheses(np.broadcast_to(flat.values, (h, w, d)), flat.interval)
+        np.testing.assert_array_equal(flat.planes(h, w), full.planes(h, w))
+
+        logits = rng.standard_normal((h, w, d))
+        logits[0] = 0.0                       # every hypothesis tied
+        logits[1, :, 1] = logits[1, :, 0]     # the first two tied
+        logits[2, :, -1] = logits[2, :, -2]   # the last two tied
+        prob = probability_volume(ad.tensor(logits))
+        a, b = winner_take_all(prob, flat), winner_take_all(prob, full)
+        np.testing.assert_array_equal(a.depth, b.depth)
+        np.testing.assert_array_equal(a.confidence, b.confidence)
+
+        gt = rng.uniform(0.8, 3.2, size=(h, w))
+        mask = rng.random((h, w)) > 0.3
+        for gamma in (0.0, 2.0):
+            np.testing.assert_array_equal(focal_loss(prob, gt, flat, mask, gamma).data,
+                                          focal_loss(prob, gt, full, mask, gamma).data)
+
+
 @pytest.fixture(scope="module")
 def outputs_and_model():
     with ad.precision("float32"):
@@ -127,7 +154,7 @@ class TestCascade:
     def test_wta_membership_every_stage(self, outputs_and_model):
         _, _, outs = outputs_and_model
         for o in outs:
-            if o.hyps.is_global:
+            if o.hyps.values.ndim == 1:
                 assert np.isin(o.estimate.depth, o.hyps.values).all()
             else:
                 gathered = np.take_along_axis(
