@@ -18,7 +18,7 @@ from .autodiff import ContractError, DimensionError, Tensor
 
 __all__ = [
     "Intrinsics", "Extrinsics", "CameraView", "DepthHypotheses",
-    "warp_pixel", "build_warp_grid",
+    "pixel_grid", "warp_pixel", "build_warp_grid",
     "sample_hypotheses_initial", "refine_hypotheses",
     "project_points", "backproject_pixels",
     "format_camera_text", "parse_camera_text",
@@ -93,8 +93,6 @@ class CameraView:
     image: np.ndarray                       # (C, H, W), values in [0, 1]
     depth: np.ndarray | None = None         # (H, W), scene units, 0 = invalid
     mask: np.ndarray | None = None          # (H, W) bool
-    d_min: float = 0.0
-    d_max: float = 0.0
 
     def __post_init__(self):
         self.image = np.asarray(self.image)
@@ -116,6 +114,13 @@ class CameraView:
     @property
     def width(self) -> int:
         return self.image.shape[2]
+
+
+def pixel_grid(h: int, w: int) -> np.ndarray:
+    """(H, W, 2) float64 pixel coordinates, x then y."""
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    return np.stack([xs, ys], axis=-1)
 
 
 def relative_pose(ref: Extrinsics, src: Extrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -195,11 +200,16 @@ class DepthHypotheses:
     def count(self) -> int:
         return self.values.shape[-1]
 
+    def check_volume(self, shape: tuple[int, ...]) -> None:
+        """Raise DimensionError unless the record fits an (H, W, D) volume:
+        (D,) with the volume's D, or exactly (H, W, D)."""
+        if self.values.shape not in (shape[-1:], shape):
+            raise DimensionError(
+                f"hypotheses {self.values.shape} do not match the (H,W,D) volume {shape}")
+
     def planes(self, height: int, width: int) -> np.ndarray:
         """Hypotheses as (D, H, W) depth planes."""
-        if self.values.shape[:-1] not in ((), (height, width)):
-            raise DimensionError(
-                f"per-pixel hypotheses {self.values.shape} do not match ({height},{width})")
+        self.check_volume((height, width, self.count))
         plane = np.broadcast_to(self.values, (height, width, self.count))
         return np.ascontiguousarray(np.moveaxis(plane, -1, 0))
 
@@ -255,8 +265,7 @@ def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
     _, height, width = depth.shape
 
     r_rel, t_rel = relative_pose(ref_extr, src_extr)
-    ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),
-                         np.arange(width, dtype=np.float64), indexing="ij")
+    xs, ys = np.moveaxis(pixel_grid(height, width), -1, 0)
     rays = np.stack([(xs - ref_intr.cx) / ref_intr.fx,
                      (ys - ref_intr.cy) / ref_intr.fy,
                      np.ones_like(xs)])                      # (3, H, W)

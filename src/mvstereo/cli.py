@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, infer, fuse, eval, bench-attention, gradcheck,
 print-config. Exit codes: 0 success, 1 runtime failure, 2 configuration
-error. Log verbosity comes from the MVSTEREO_LOG environment variable
-(debug/info/warning; default warning).
+or argument error. Log verbosity comes from the MVSTEREO_LOG environment
+variable (debug/info/warning; default warning).
 
 Heavyweight imports happen inside the command handlers so that --threads
 can pin the BLAS thread pools before numpy is loaded.
@@ -22,9 +22,18 @@ from pathlib import Path
 __all__ = ["main"]
 
 
-def _apply_threads_flag(argv: list[str]) -> str | None:
-    """Pin the BLAS pools to ``--threads N``; returns the problem with a
-    value that is not a positive integer, before anything is pinned."""
+class UsageError(Exception):
+    """A command-line argument out of range; ``main`` prints it and exits 2."""
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise UsageError(problem)
+
+
+def _apply_threads_flag(argv: list[str]) -> None:
+    """Pin the BLAS pools to ``--threads N``; a value that is not a positive
+    integer raises UsageError before anything is pinned."""
     threads = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
@@ -32,16 +41,14 @@ def _apply_threads_flag(argv: list[str]) -> str | None:
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
     if threads is None:
-        return None
+        return
     try:
         count = int(threads)
     except ValueError:
         count = 0
-    if count < 1:
-        return f"--threads {threads} must be a positive integer"
+    _require(count >= 1, f"--threads {threads} must be a positive integer")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(count)
-    return None
 
 
 def _configure_logging() -> None:
@@ -69,9 +76,7 @@ def cmd_synth(args) -> int:
     from .fileio import save_scene
     from .scene import render_synthetic_scene
 
-    if args.scenes < 1:
-        print(f"error: --scenes {args.scenes} must be at least 1", file=sys.stderr)
-        return 2
+    _require(args.scenes >= 1, f"--scenes {args.scenes} must be at least 1")
     cfg = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,10 +170,8 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     ad.set_default_dtype(np.float32)
     views, manifest = load_scene(Path(args.scene))
-    if args.ref is not None and not 0 <= args.ref < len(views):
-        print(f"error: --ref {args.ref} is not a view of this scene; "
-              f"valid: 0..{len(views) - 1}", file=sys.stderr)
-        return 2
+    _require(args.ref is None or 0 <= args.ref < len(views),
+             f"--ref {args.ref} is not a view of this scene; valid: 0..{len(views) - 1}")
     model = StereoModel(_adopt_scene_range(cfg, manifest), seed=args.seed)
     if args.checkpoint:
         restore(model, load_checkpoint(args.checkpoint))
@@ -246,6 +249,10 @@ def cmd_eval(args) -> int:
     from .fileio import load_scene, read_ply
     from .metrics import cloud_metrics, depth_metrics
 
+    needed = "pred" if args.mode == "depth" else "cloud"
+    _require(getattr(args, needed) is not None, f"--mode {args.mode} needs --{needed}")
+    _require(args.clamp is None or 0 < args.clamp < np.inf,
+             f"--clamp {args.clamp} must be finite and above 0")
     views, manifest = load_scene(Path(args.scene))
     d_min, d_max = float(manifest["d_min"]), float(manifest["d_max"])
     out_rows = []
@@ -280,7 +287,16 @@ def cmd_eval(args) -> int:
 def cmd_bench_attention(args) -> int:
     from .bench import run_attention_benchmark
 
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    try:
+        lengths = tuple(int(x) for x in args.lengths.split(","))
+    except ValueError:
+        lengths = ()
+    _require(len(set(lengths)) >= 2 and min(lengths) >= 1,
+             f"--lengths {args.lengths} must list at least two distinct positive integers")
+    _require(args.trials >= 1, f"--trials {args.trials} must be at least 1")
+    _require(args.channels >= 1, f"--channels {args.channels} must be at least 1")
+    _require(args.heads >= 1 and args.channels % args.heads == 0,
+             f"--heads {args.heads} must be at least 1 and divide --channels {args.channels}")
     result = run_attention_benchmark(lengths=lengths, channels=args.channels,
                                      n_heads=args.heads, trials=args.trials,
                                      seed=args.seed)
@@ -297,13 +313,9 @@ def cmd_bench_attention(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradsuite import GRAD_CHECKS, run_suite
 
-    if args.scope != "all" and args.scope not in GRAD_CHECKS:
-        print(f"error: unknown --scope {args.scope!r}; valid: all, {', '.join(GRAD_CHECKS)}",
-              file=sys.stderr)
-        return 2
-    if args.instances < 1:
-        print(f"error: --instances {args.instances} must be at least 1", file=sys.stderr)
-        return 2
+    _require(args.scope == "all" or args.scope in GRAD_CHECKS,
+             f"unknown --scope {args.scope!r}; valid: all, {', '.join(GRAD_CHECKS)}")
+    _require(args.instances >= 1, f"--instances {args.instances} must be at least 1")
     names = list(GRAD_CHECKS) if args.scope == "all" else [args.scope]
     ok = run_suite(names, instances=args.instances, base_seed=args.seed)
     return 0 if ok else 1
@@ -397,15 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    problem = _apply_threads_flag(argv)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        _apply_threads_flag(argv)
+        _configure_logging()
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
     except Exception as exc:  # noqa: BLE001 - map everything to exit codes

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import functools
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,6 +32,17 @@ class TrainSettings:
     learning_rate: float = 1e-3
     decay_factor: float = 0.5
     decay_steps: tuple[int, ...] = (180, 240)
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"train steps must be at least 1, got {self.steps}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"train learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0 < self.decay_factor <= 1:
+            raise ConfigError(f"train decay_factor must lie in (0, 1], got {self.decay_factor}")
+        if any(step < 0 for step in self.decay_steps):
+            raise ConfigError(f"train decay_steps must be non-negative, got {self.decay_steps}")
 
 
 @dataclass

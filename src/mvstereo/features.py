@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor, deformable_conv2d
-from .nn import Conv2dLayer, Module, kaiming_uniform, parameter
+from .nn import ConvLayer, Module, kaiming_uniform, parameter, subsample_2x
 
 __all__ = [
     "FeaturePyramidNet", "DeformableConv2d", "PathwayMerge",
@@ -23,11 +23,6 @@ __all__ = [
 
 # Channel counts at scales 1/4, 1/2, 1.
 PYRAMID_CHANNELS = (32, 16, 8)
-
-
-def _downsample_2x(x: Tensor) -> Tensor:
-    """Stride-2 subsampling of the last two axes (keeps extents exact halves)."""
-    return x[:, ::2, ::2]
 
 
 class FeaturePyramidNet(Module):
@@ -40,19 +35,19 @@ class FeaturePyramidNet(Module):
     def __init__(self, rng: np.random.Generator, in_channels: int = 3):
         super().__init__()
         c4, c2, c1 = PYRAMID_CHANNELS
-        self.enc0a = Conv2dLayer(rng, in_channels, c1, norm=True)
-        self.enc0b = Conv2dLayer(rng, c1, c1, norm=True)
-        self.enc1a = Conv2dLayer(rng, c1, c2, norm=True)   # applied after 2x subsample
-        self.enc1b = Conv2dLayer(rng, c2, c2, norm=True)
-        self.enc2a = Conv2dLayer(rng, c2, c4, norm=True)
-        self.enc2b = Conv2dLayer(rng, c4, c4, norm=True)
-        self.head2 = Conv2dLayer(rng, c4, c4, act=False)
-        self.proj21 = Conv2dLayer(rng, c4, c2, kernel=1, act=False)
-        self.lat1 = Conv2dLayer(rng, c2, c2, kernel=1, act=False)
-        self.head1 = Conv2dLayer(rng, c2, c2, act=False)
-        self.proj10 = Conv2dLayer(rng, c2, c1, kernel=1, act=False)
-        self.lat0 = Conv2dLayer(rng, c1, c1, kernel=1, act=False)
-        self.head0 = Conv2dLayer(rng, c1, c1, act=False)
+        self.enc0a = ConvLayer(rng, in_channels, c1, norm=True)
+        self.enc0b = ConvLayer(rng, c1, c1, norm=True)
+        self.enc1a = ConvLayer(rng, c1, c2, norm=True)   # applied after 2x subsample
+        self.enc1b = ConvLayer(rng, c2, c2, norm=True)
+        self.enc2a = ConvLayer(rng, c2, c4, norm=True)
+        self.enc2b = ConvLayer(rng, c4, c4, norm=True)
+        self.head2 = ConvLayer(rng, c4, c4, act=False)
+        self.proj21 = ConvLayer(rng, c4, c2, kernel=1, act=False)
+        self.lat1 = ConvLayer(rng, c2, c2, kernel=1, act=False)
+        self.head1 = ConvLayer(rng, c2, c2, act=False)
+        self.proj10 = ConvLayer(rng, c2, c1, kernel=1, act=False)
+        self.lat0 = ConvLayer(rng, c1, c1, kernel=1, act=False)
+        self.head0 = ConvLayer(rng, c1, c1, act=False)
 
     def __call__(self, image: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Returns features at (1/4, 1/2, 1) resolution, coarse first."""
@@ -60,8 +55,8 @@ class FeaturePyramidNet(Module):
         if h % 4 or w % 4:
             raise DimensionError(f"image extents must be multiples of 4, got {h}x{w}")
         e0 = self.enc0b(self.enc0a(image))
-        e1 = self.enc1b(self.enc1a(_downsample_2x(e0)))
-        e2 = self.enc2b(self.enc2a(_downsample_2x(e1)))
+        e1 = self.enc1b(self.enc1a(subsample_2x(e0)))
+        e2 = self.enc2b(self.enc2a(subsample_2x(e1)))
         f_quarter = self.head2(e2)
         m1 = self.lat1(e1) + self.proj21(ad.upsample_bilinear_2x(e2))
         f_half = self.head1(m1)
@@ -99,7 +94,7 @@ class PathwayMerge(Module):
 
     def __init__(self, rng: np.random.Generator, coarse_channels: int, fine_channels: int):
         super().__init__()
-        self.proj = Conv2dLayer(rng, coarse_channels, fine_channels, kernel=1, act=False)
+        self.proj = ConvLayer(rng, coarse_channels, fine_channels, kernel=1, act=False)
 
     def __call__(self, transformed_coarse: Tensor, raw_finer: Tensor) -> Tensor:
         up = ad.upsample_bilinear_2x(transformed_coarse)

@@ -142,10 +142,11 @@ def read_ply(path) -> PointCloud:
 
 # -- scene directories -----------------------------------------------------------
 
-def save_camera_file(path, view: CameraView, count: int | None = None) -> None:
-    interval = (view.d_max - view.d_min) / max((count or 2) - 1, 1)
-    text = format_camera_text(view.intrinsics, view.extrinsics,
-                              view.d_min, interval, count, view.d_max)
+def save_camera_file(path, view: CameraView, d_min: float, d_max: float,
+                     count: int | None = None) -> None:
+    """Write a view's cameras with the sweep range ``[d_min, d_max]``."""
+    interval = (d_max - d_min) / max((count or 2) - 1, 1)
+    text = format_camera_text(view.intrinsics, view.extrinsics, d_min, interval, count, d_max)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -163,12 +164,13 @@ def save_scene(scene: SyntheticScene, directory, hypothesis_count: int = 16) -> 
     """Write one scene: PPM images, PFM depths, camera text, manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    spec = scene.spec
     for i, view in enumerate(scene.views):
         write_ppm(directory / f"view_{i:04d}.ppm", view.image)
         write_pfm(directory / f"depth_{i:04d}.pfm",
                   np.where(view.mask, view.depth, 0.0))
-        save_camera_file(directory / f"cam_{i:04d}.txt", view, hypothesis_count)
-    spec = scene.spec
+        save_camera_file(directory / f"cam_{i:04d}.txt", view, spec.d_min, spec.d_max,
+                         hypothesis_count)
     manifest = "\n".join([
         f"kind = {spec.kind}",
         f"seed = {scene.seed}",
@@ -209,9 +211,8 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
         depth = read_pfm(depth_path).astype(np.float64)
         intr, extr, _ = load_camera_file(directory / f"cam_{i:04d}.txt")
         try:
-            views.append(CameraView(
-                intrinsics=intr, extrinsics=extr, image=image, depth=depth,
-                mask=depth > 0, d_min=numbers["d_min"], d_max=numbers["d_max"]))
+            views.append(CameraView(intrinsics=intr, extrinsics=extr, image=image,
+                                    depth=depth, mask=depth > 0))
         except (ContractError, DimensionError) as exc:
             raise type(exc)(f"{image_path}, {depth_path}: {exc}") from None
     return views, manifest

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ContractError, DimensionError
-from .cameras import CameraView, backproject_pixels, project_points, warp_pixel
+from .cameras import CameraView, backproject_pixels, pixel_grid, project_points, warp_pixel
 
 __all__ = [
     "FusionThresholds", "ConsistencyRecord", "PointCloud",
@@ -66,13 +66,6 @@ class PointCloud:
 
     def __len__(self):
         return self.points.shape[0]
-
-
-def pixel_grid(h: int, w: int) -> np.ndarray:
-    """(H, W, 2) float64 pixel coordinates, x then y."""
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    return np.stack([xs, ys], axis=-1)
 
 
 def _sample_depth(depth: np.ndarray, xy: np.ndarray) -> np.ndarray:

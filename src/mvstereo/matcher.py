@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DimensionError, Tensor
+from .cameras import pixel_grid
 from .nn import Linear, Module
 
 __all__ = [
@@ -37,8 +38,7 @@ def positional_encode(feat: Tensor) -> Tensor:
     n_freq = c // 4
     j = np.arange(n_freq, dtype=np.float64)
     omega = 1.0 / (10000.0 ** (j / n_freq))
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    xs, ys = np.moveaxis(pixel_grid(h, w), -1, 0)
     xo = xs[None] * omega[:, None, None]
     yo = ys[None] * omega[:, None, None]
     enc = np.concatenate([np.sin(xo), np.cos(xo), np.sin(yo), np.cos(yo)])

@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["Module", "parameter", "kaiming_uniform", "Conv2dLayer", "Linear"]
+__all__ = ["Module", "parameter", "kaiming_uniform", "ConvLayer", "subsample_2x", "Linear"]
 
 
 def parameter(data) -> Tensor:
@@ -75,30 +75,35 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters().items()}
 
 
-class Conv2dLayer(Module):
-    """3x3 (or 1x1) convolution with bias, optional instance norm + ReLU."""
+class ConvLayer(Module):
+    """3x3 (or 1x1) convolution over ``dims`` (2 or 3) spatial axes with bias,
+    optional instance norm + ReLU."""
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3,
-                 norm: bool = False, act: bool = True):
+                 norm: bool = False, act: bool = True, dims: int = 2):
         super().__init__()
-        fan_in = c_in * kernel * kernel
-        self.weight = parameter(kaiming_uniform(rng, (c_out, c_in, kernel, kernel), fan_in))
+        fan_in = c_in * kernel ** dims
+        self.weight = parameter(kaiming_uniform(rng, (c_out, c_in) + (kernel,) * dims, fan_in))
         self.bias = parameter(np.zeros(c_out))
         self.kernel = kernel
         self.norm = norm
         self.act = act
 
     def __call__(self, x: Tensor) -> Tensor:
-        pad = self.kernel // 2
-        y = ad.conv2d(x, self.weight, padding=pad)
-        y = y + ad.reshape(self.bias, (-1, 1, 1))
+        conv = ad.conv3d if x.ndim == 4 else ad.conv2d   # (C, D, H, W) or (C, H, W)
+        y = conv(x, self.weight, padding=self.kernel // 2)
+        y = y + ad.reshape(self.bias, (-1,) + (1,) * (y.ndim - 1))
         if self.norm:
-            # Instance norm: per-channel statistics over the spatial plane.
-            c, h, w = y.shape
-            y = ad.reshape(ad.layer_norm(ad.reshape(y, (c, h * w)), axis=1), (c, h, w))
+            # Instance norm: per-channel statistics over every spatial axis.
+            y = ad.reshape(ad.layer_norm(ad.reshape(y, (y.shape[0], -1)), axis=1), y.shape)
         if self.act:
             y = ad.relu(y)
         return y
+
+
+def subsample_2x(x: Tensor) -> Tensor:
+    """Every other index of each axis after the channel axis."""
+    return x[(slice(None),) + (slice(None, None, 2),) * (x.ndim - 1)]
 
 
 class Linear(Module):

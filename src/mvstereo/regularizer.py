@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
 from .cameras import DepthHypotheses
-from .nn import Module, kaiming_uniform, parameter
+from .nn import ConvLayer, Module, subsample_2x
 
 __all__ = ["DepthEstimate", "VolumeRegularizer", "probability_volume", "winner_take_all"]
 
@@ -20,23 +20,6 @@ class DepthEstimate:
 
     depth: np.ndarray
     confidence: np.ndarray
-
-
-class Conv3dLayer(Module):
-    def __init__(self, rng, c_in: int, c_out: int, act: bool = True):
-        super().__init__()
-        self.weight = parameter(kaiming_uniform(rng, (c_out, c_in, 3, 3, 3), c_in * 27))
-        self.bias = parameter(np.zeros(c_out))
-        self.act = act
-
-    def __call__(self, x: Tensor) -> Tensor:
-        y = ad.conv3d(x, self.weight, padding=1)
-        y = y + ad.reshape(self.bias, (-1, 1, 1, 1))
-        return ad.relu(y) if self.act else y
-
-
-def _subsample(x: Tensor) -> Tensor:
-    return x[:, ::2, ::2, ::2]
 
 
 def _crop_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -55,17 +38,17 @@ class VolumeRegularizer(Module):
         super().__init__()
         self.use_unet = depth_count >= 4
         if self.use_unet:
-            self.c0 = Conv3dLayer(rng, 1, 8)
-            self.c1 = Conv3dLayer(rng, 8, 16)
-            self.c2a = Conv3dLayer(rng, 16, 32)
-            self.c2b = Conv3dLayer(rng, 32, 32)
-            self.u1 = Conv3dLayer(rng, 32, 16, act=False)
-            self.u0 = Conv3dLayer(rng, 16, 8, act=False)
-            self.out = Conv3dLayer(rng, 8, 1, act=False)
+            self.c0 = ConvLayer(rng, 1, 8, dims=3)
+            self.c1 = ConvLayer(rng, 8, 16, dims=3)
+            self.c2a = ConvLayer(rng, 16, 32, dims=3)
+            self.c2b = ConvLayer(rng, 32, 32, dims=3)
+            self.u1 = ConvLayer(rng, 32, 16, act=False, dims=3)
+            self.u0 = ConvLayer(rng, 16, 8, act=False, dims=3)
+            self.out = ConvLayer(rng, 8, 1, act=False, dims=3)
         else:
-            self.p0 = Conv3dLayer(rng, 1, 8)
-            self.p1 = Conv3dLayer(rng, 8, 8)
-            self.out = Conv3dLayer(rng, 8, 1, act=False)
+            self.p0 = ConvLayer(rng, 1, 8, dims=3)
+            self.p1 = ConvLayer(rng, 8, 8, dims=3)
+            self.out = ConvLayer(rng, 8, 1, act=False, dims=3)
 
     def __call__(self, volume: Tensor) -> Tensor:
         """Correlation volume (H', W', D) to logits of the same shape."""
@@ -77,8 +60,8 @@ class VolumeRegularizer(Module):
         x = ad.reshape(ad.transpose(vol, (2, 0, 1)), (1, d, h, w))
         if self.use_unet:
             f0 = self.c0(x)
-            f1 = self.c1(_subsample(f0))
-            f2 = self.c2b(self.c2a(_subsample(f1)))
+            f1 = self.c1(subsample_2x(f0))
+            f2 = self.c2b(self.c2a(subsample_2x(f1)))
             # No name holds an upsampled input, and each skip is dropped
             # once it has been added.
             s1 = ad.relu(self.u1(_crop_to(ad.upsample_trilinear_2x(f2), f1.shape)) + f1)
@@ -109,8 +92,9 @@ def winner_take_all(prob: Tensor, hyps: DepthHypotheses) -> DepthEstimate:
     the winner; at the ends of the volume the window shifts inward rather
     than shrinking.
     """
-    p = prob.data
+    p = vol_check(prob).data
     h, w, d = p.shape
+    hyps.check_volume(p.shape)
     idx = p.argmax(axis=2)
     values = np.broadcast_to(hyps.values, p.shape)
     depth = np.take_along_axis(values, idx[..., None], axis=2)[..., 0]

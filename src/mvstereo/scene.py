@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ContractError
-from .cameras import CameraView, Extrinsics, Intrinsics, project_points
+from .cameras import (CameraView, Extrinsics, Intrinsics, backproject_pixels, pixel_grid,
+                      project_points)
 
 __all__ = ["SceneSpec", "SyntheticScene", "render_synthetic_scene"]
 
@@ -278,8 +279,7 @@ def render_synthetic_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
     light = np.array(spec.light, dtype=np.float64)
     light = light / np.linalg.norm(light)
 
-    ys, xs = np.meshgrid(np.arange(spec.height, dtype=np.float64),
-                         np.arange(spec.width, dtype=np.float64), indexing="ij")
+    xs, ys = np.moveaxis(pixel_grid(spec.height, spec.width), -1, 0)
     rays_cam = np.stack([(xs - intr.cx) / intr.fx,
                          (ys - intr.cy) / intr.fy,
                          np.ones_like(xs)], axis=-1)          # (H, W, 3)
@@ -296,8 +296,7 @@ def render_synthetic_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
             intrinsics=intr, extrinsics=extr,
             image=image,
             depth=depth.astype(np.float64),
-            mask=hit if spec.kind == "sphere" else np.ones_like(depth, dtype=bool),
-            d_min=spec.d_min, d_max=spec.d_max))
+            mask=hit if spec.kind == "sphere" else np.ones_like(depth, dtype=bool)))
 
     scene = SyntheticScene(spec=spec, seed=seed, views=views, surface=surface)
     _check_depth_range(scene)
@@ -317,11 +316,8 @@ def covisible_mask(scene: SyntheticScene, ref_id: int, src_id: int) -> np.ndarra
     """Pixels of the reference view whose surface point is seen by the source."""
     ref = scene.views[ref_id]
     src = scene.views[src_id]
-    ys, xs = np.meshgrid(np.arange(ref.height, dtype=np.float64),
-                         np.arange(ref.width, dtype=np.float64), indexing="ij")
-    from .cameras import backproject_pixels
     pts = backproject_pixels(ref.intrinsics, ref.extrinsics,
-                             np.stack([xs, ys], axis=-1), ref.depth)
+                             pixel_grid(ref.height, ref.width), ref.depth)
     p_src, z_src = project_points(src.intrinsics, src.extrinsics, pts)
     inside = ((p_src[..., 0] >= 0) & (p_src[..., 0] <= src.width - 1)
               & (p_src[..., 1] >= 0) & (p_src[..., 1] <= src.height - 1)

@@ -60,6 +60,7 @@ def focal_loss(prob: Tensor, gt_depth: np.ndarray,
     if gt.shape != (h, w) or mask.shape != (h, w):
         raise ad.DimensionError(
             f"ground truth {gt.shape}/mask {mask.shape} must match volume plane ({h},{w})")
+    hyps.check_volume(prob.shape)
     target = np.abs(hyps.values - gt[..., None]).argmin(axis=2)
 
     n_valid = int(mask.sum())

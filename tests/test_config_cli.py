@@ -7,7 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from mvstereo.config import ConfigError, config_text, default_config_text, load_config
+from mvstereo.config import (
+    ConfigError,
+    TrainSettings,
+    config_text,
+    default_config_text,
+    load_config,
+)
 
 
 def run_cli(*args, timeout=240):
@@ -159,6 +165,18 @@ use_pathway = false
     def test_removed_keys_rejected_with_name(self, section, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load_config(text=f"[{section}]\n{key} = 1\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "0"), ("steps", "-2"), ("learning_rate", "nan"), ("learning_rate", "inf"),
+        ("learning_rate", "0"), ("learning_rate", "-1e-3"), ("decay_factor", "0"),
+        ("decay_factor", "1.5"), ("decay_steps", "180, -1")])
+    def test_bad_train_setting_rejected_with_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"train {key} must"):
+            load_config(text=f"[train]\n{key} = {value}\n")
+
+    def test_edge_train_settings_accepted(self):
+        settings = TrainSettings(steps=1, decay_factor=1.0, decay_steps=(0,))
+        assert settings.steps == 1 and settings.decay_steps == (0,)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -471,6 +489,45 @@ class TestCliPipeline:
         assert len(result.stderr.strip().splitlines()) == 1
         assert named in result.stderr
         assert result.stdout == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, train_key, named", [
+        (("eval", "--mode", "depth"), None, "--pred"),
+        (("eval", "--mode", "cloud"), None, "--cloud"),
+        (("eval", "--mode", "cloud", "--cloud", "{cloud}", "--clamp", "0"), None, "--clamp"),
+        (("eval", "--mode", "cloud", "--cloud", "{cloud}", "--clamp", "-1"), None, "--clamp"),
+        (("eval", "--mode", "cloud", "--cloud", "{cloud}", "--clamp", "nan"), None, "--clamp"),
+        (("eval", "--mode", "cloud", "--cloud", "{cloud}", "--clamp", "inf"), None, "--clamp"),
+        (("bench-attention", "--lengths", "a"), None, "--lengths a"),
+        (("bench-attention", "--lengths", "64"), None, "--lengths 64"),
+        (("bench-attention", "--lengths", "64,64"), None, "--lengths 64,64"),
+        (("bench-attention", "--lengths", "0,64"), None, "--lengths 0,64"),
+        (("bench-attention", "--trials", "0"), None, "--trials 0"),
+        (("bench-attention", "--channels", "0"), None, "--channels 0"),
+        (("bench-attention", "--heads", "0"), None, "--heads 0"),
+        (("bench-attention", "--heads", "3"), None, "--heads 3"),
+        (("train",), "steps = 0", "steps"),
+        (("train",), "steps = -2", "steps"),
+        (("train",), "learning_rate = nan", "learning_rate"),
+        (("train",), "learning_rate = 0", "learning_rate"),
+        (("train",), "decay_factor = 1.5", "decay_factor"),
+        (("train",), "decay_steps = 3, -1", "decay_steps")])
+    def test_bad_argument_or_train_key_exits_2(self, noisy_fused_scene, small_scene_dir,
+                                               tmp_path, args, train_key, named):
+        """Each probe exits 2 with one line naming the flag or key, and writes nothing."""
+        scene, fused = noisy_fused_scene
+        args = tuple(a.replace("{cloud}", str(fused / "cloud.ply")) for a in args)
+        out = tmp_path / "o"
+        if args[0] == "eval":
+            args += ("--scene", str(scene))
+        if args[0] == "train":
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(f"[train]\n{train_key}\n")
+            args += ("--scenes", str(small_scene_dir / "scenes"), "--config", str(cfg))
+        result = run_cli(*args, "--out", str(out))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert named in result.stderr
+        assert result.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("probe, named", [
         ("one_view", "manifest.txt: n_views = 1"),

@@ -1,5 +1,7 @@
 """Volume regularization, probability readout, winner-take-all, cascade."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ class TestHypothesisLayout:
         for gamma in (0.0, 2.0):
             np.testing.assert_array_equal(focal_loss(prob, gt, flat, mask, gamma).data,
                                           focal_loss(prob, gt, full, mask, gamma).data)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2, 8), (2, 3, 4), (1, 3, 8)])
+    def test_record_that_does_not_fit_the_volume_is_named(self, f64, rng, shape):
+        """Both readers reject it with one error naming both shapes; a record
+        that fits is read by both in the test above."""
+        prob = probability_volume(ad.tensor(rng.standard_normal((2, 3, 8))))
+        hyps = DepthHypotheses(np.broadcast_to(np.linspace(1.0, 2.0, shape[-1]), shape), 0.1)
+        named = re.escape(f"{shape}") + ".*" + re.escape("(2, 3, 8)")
+        with pytest.raises(ad.DimensionError, match=named):
+            focal_loss(prob, np.full((2, 3), 1.5), hyps, np.ones((2, 3), bool), 2.0)
+        with pytest.raises(ad.DimensionError, match=named):
+            winner_take_all(prob, hyps)
 
 
 @pytest.fixture(scope="module")
