@@ -233,8 +233,8 @@ def cmd_fuse(args) -> int:
 
 def _reference_cloud(views):
     import numpy as np
-    from .cameras import backproject_pixels
-    from .fusion import PointCloud, pixel_grid
+    from .cameras import backproject_pixels, pixel_grid
+    from .fusion import PointCloud
     pts = []
     for view in views:
         valid = view.depth > 0

@@ -184,7 +184,8 @@ def save_scene(scene: SyntheticScene, directory, hypothesis_count: int = 16) -> 
 
 
 def load_scene(directory) -> tuple[list[CameraView], dict]:
-    """Read a scene directory back into views plus its manifest dict."""
+    """Read a scene directory back into views plus its manifest dict. Each
+    camera's depth line must match the manifest's range (d_max if it has one)."""
     directory = Path(directory)
     manifest_path = directory / "manifest.txt"
     if not manifest_path.exists():
@@ -204,12 +205,20 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
     if numbers["n_views"] < 2:
         raise ContractError(f"{manifest_path}: n_views = {numbers['n_views']}, but a scene "
                             f"needs a reference plus at least one source view")
+    scene_range = [numbers["d_min"], numbers["d_max"]]
+    if not 0 < scene_range[0] < scene_range[1]:
+        raise ContractError(f"{manifest_path}: bad depth range {scene_range}")
     views = []
     for i in range(numbers["n_views"]):
         image_path, depth_path = directory / f"view_{i:04d}.ppm", directory / f"depth_{i:04d}.pfm"
         image = read_ppm(image_path)
         depth = read_pfm(depth_path).astype(np.float64)
-        intr, extr, _ = load_camera_file(directory / f"cam_{i:04d}.txt")
+        cam_path = directory / f"cam_{i:04d}.txt"
+        intr, extr, info = load_camera_file(cam_path)
+        cam_range = [info["d_min"], info.get("d_max", scene_range[1])]
+        if cam_range != scene_range:
+            raise ContractError(f"{cam_path}: depth range {cam_range} does not match "
+                                f"manifest.txt's {scene_range}")
         try:
             views.append(CameraView(intrinsics=intr, extrinsics=extr, image=image,
                                     depth=depth, mask=depth > 0))

@@ -20,7 +20,7 @@ from .cameras import CameraView, backproject_pixels, pixel_grid, project_points,
 
 __all__ = [
     "FusionThresholds", "ConsistencyRecord", "PointCloud",
-    "geometric_check", "dynamic_filter", "fuse_point_cloud", "pixel_grid",
+    "geometric_check", "dynamic_filter", "fuse_point_cloud",
 ]
 
 

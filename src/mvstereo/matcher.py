@@ -189,7 +189,6 @@ class MatchingTransformer(Module):
         super().__init__()
         if channels % n_heads:
             raise DimensionError(f"channels {channels} not divisible by {n_heads} heads")
-        self.channels = channels
         for i in range(n_blocks):
             setattr(self, f"block{i}", AttentionBlock(rng, channels, n_heads, normalized))
         self.n_blocks = n_blocks

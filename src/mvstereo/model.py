@@ -90,9 +90,9 @@ class StereoModel(Module):
             normalized=config.attention_normalized)
         self.path_half = PathwayMerge(rng, c4, c2)
         self.path_full = PathwayMerge(rng, c2, c1)
-        self.reg1 = VolumeRegularizer(rng, config.cascade.counts[0])
-        self.reg2 = VolumeRegularizer(rng, config.cascade.counts[1])
-        self.reg3 = VolumeRegularizer(rng, config.cascade.counts[2])
+        self.reg1 = VolumeRegularizer(rng)
+        self.reg2 = VolumeRegularizer(rng)
+        self.reg3 = VolumeRegularizer(rng)
         # No-grad feature memo: view key -> its features, or None for a view
         # seen once; see extract_features.
         self._feature_memo: dict[bytes, tuple[Tensor, ...] | None] = {}

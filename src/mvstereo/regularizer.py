@@ -30,25 +30,19 @@ class VolumeRegularizer(Module):
     """Compact 3D U-Net over the (D, H', W') volume (channels 8-16-32).
 
     Two subsample/upsample levels with additive skips and trilinear
-    upsampling. Volumes with fewer than 4 hypotheses cannot survive two
-    halvings along depth, so they fall back to a plain three-layer stack.
+    upsampling, at every stage: a subsample keeps an axis of extent 1 and
+    each upsample is cropped to its skip, so any D >= 1 comes back intact.
     """
 
-    def __init__(self, rng: np.random.Generator, depth_count: int):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.use_unet = depth_count >= 4
-        if self.use_unet:
-            self.c0 = ConvLayer(rng, 1, 8, dims=3)
-            self.c1 = ConvLayer(rng, 8, 16, dims=3)
-            self.c2a = ConvLayer(rng, 16, 32, dims=3)
-            self.c2b = ConvLayer(rng, 32, 32, dims=3)
-            self.u1 = ConvLayer(rng, 32, 16, act=False, dims=3)
-            self.u0 = ConvLayer(rng, 16, 8, act=False, dims=3)
-            self.out = ConvLayer(rng, 8, 1, act=False, dims=3)
-        else:
-            self.p0 = ConvLayer(rng, 1, 8, dims=3)
-            self.p1 = ConvLayer(rng, 8, 8, dims=3)
-            self.out = ConvLayer(rng, 8, 1, act=False, dims=3)
+        self.c0 = ConvLayer(rng, 1, 8, dims=3)
+        self.c1 = ConvLayer(rng, 8, 16, dims=3)
+        self.c2a = ConvLayer(rng, 16, 32, dims=3)
+        self.c2b = ConvLayer(rng, 32, 32, dims=3)
+        self.u1 = ConvLayer(rng, 32, 16, act=False, dims=3)
+        self.u0 = ConvLayer(rng, 16, 8, act=False, dims=3)
+        self.out = ConvLayer(rng, 8, 1, act=False, dims=3)
 
     def __call__(self, volume: Tensor) -> Tensor:
         """Correlation volume (H', W', D) to logits of the same shape."""
@@ -58,19 +52,16 @@ class VolumeRegularizer(Module):
         # depth softmax at initialization.
         vol = ad.reshape(ad.layer_norm(ad.reshape(volume, (1, h * w * d)), axis=1), (h, w, d))
         x = ad.reshape(ad.transpose(vol, (2, 0, 1)), (1, d, h, w))
-        if self.use_unet:
-            f0 = self.c0(x)
-            f1 = self.c1(subsample_2x(f0))
-            f2 = self.c2b(self.c2a(subsample_2x(f1)))
-            # No name holds an upsampled input, and each skip is dropped
-            # once it has been added.
-            s1 = ad.relu(self.u1(_crop_to(ad.upsample_trilinear_2x(f2), f1.shape)) + f1)
-            del f1, f2
-            s0 = ad.relu(self.u0(_crop_to(ad.upsample_trilinear_2x(s1), f0.shape)) + f0)
-            del f0, s1
-            logits = self.out(s0)
-        else:
-            logits = self.out(self.p1(self.p0(x)))
+        f0 = self.c0(x)
+        f1 = self.c1(subsample_2x(f0))
+        f2 = self.c2b(self.c2a(subsample_2x(f1)))
+        # No name holds an upsampled input, and each skip is dropped
+        # once it has been added.
+        s1 = ad.relu(self.u1(_crop_to(ad.upsample_trilinear_2x(f2), f1.shape)) + f1)
+        del f1, f2
+        s0 = ad.relu(self.u0(_crop_to(ad.upsample_trilinear_2x(s1), f0.shape)) + f0)
+        del f0, s1
+        logits = self.out(s0)
         return ad.transpose(ad.reshape(logits, (d, h, w)), (1, 2, 0))
 
 

@@ -532,6 +532,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("probe, named", [
         ("one_view", "manifest.txt: n_views = 1"),
         ("inverted_range", "[3.5, 3.3]"),
+        ("camera_range", "cam_0001.txt: depth range [0.5, 9.0]"),
         ("zero_focal", "cam_0001.txt: focal lengths must be positive, got fx=0.0"),
         ("smaller_image", "view_0001.ppm"),
         ("skewed_rotation", "cam_0001.txt: rotation is not orthonormal"),
@@ -555,6 +556,10 @@ class TestCliPipeline:
             edit("manifest.txt", "n_views = 3", "n_views = 1")
         elif probe == "inverted_range":
             edit("manifest.txt", "d_min = 1.2", "d_min = 3.5")
+        elif probe == "camera_range":
+            lines = (scene / "cam_0001.txt").read_text().splitlines()
+            lines[-1] = "0.5 0.01 16 9.0"  # the depth line
+            (scene / "cam_0001.txt").write_text("\n".join(lines) + "\n")
         elif probe == "zero_focal":
             edit("cam_0001.txt", "\n18 0 ", "\n0 0 ")
         elif probe == "smaller_image":

@@ -1,5 +1,7 @@
 """File formats: PFM, PPM, PLY, and scene directories."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,42 @@ class TestSceneDirectory:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="manifest"):
             load_scene(tmp_path)
+
+    @pytest.mark.parametrize("d_min, named", [
+        ("3.5", "[3.5, 3.3]"), ("0", "[0.0, 3.3]"), ("nan", "[nan, 3.3]")])
+    def test_bad_manifest_range_is_named(self, tmp_path, d_min, named):
+        save_scene(render_synthetic_scene(SceneSpec(height=16, width=16, focal=18.0), 3),
+                   tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("d_min = 1.2", f"d_min = {d_min}"))
+        with pytest.raises(ContractError, match=re.escape(f"{manifest}: bad depth range {named}")):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("line, named", [
+        ("0.5 0.01 16 9.0", "[0.5, 9.0]"),
+        ("{d_min!r} 0.14 16 9.0", "9.0]"),
+        ("0.5 0.01", "[0.5, {d_max!r}]"),
+        ("{d_min!r} 0.01", None),
+        ("{d_min!r} 0.14 16 {d_max!r}", None)],
+        ids=["both_ends", "d_max", "d_min_without_d_max", "agrees_without_d_max", "agrees"])
+    def test_camera_depth_range_must_match_manifest(self, tmp_path, line, named):
+        """A camera depth line that disagrees with the manifest on d_min, or
+        on d_max when it carries one, is named with both ranges."""
+        spec = SceneSpec(height=16, width=16, focal=18.0)
+        save_scene(render_synthetic_scene(spec, 3), tmp_path)
+        cam = tmp_path / "cam_0001.txt"
+        lines = cam.read_text().splitlines()
+        lines[-1] = line.format(d_min=spec.d_min, d_max=spec.d_max)
+        cam.write_text("\n".join(lines) + "\n")
+        if named is None:
+            assert len(load_scene(tmp_path)[0]) == 3
+            return
+        with pytest.raises(ContractError) as err:
+            load_scene(tmp_path)
+        message = str(err.value)
+        assert message.startswith(f"{cam}: ")
+        assert named.format(d_min=spec.d_min, d_max=spec.d_max) in message
+        assert f"manifest.txt's [{spec.d_min!r}, {spec.d_max!r}]" in message
 
     def test_deterministic_bytes(self, tmp_path):
         spec = SceneSpec(height=16, width=16, focal=18.0)

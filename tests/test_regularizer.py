@@ -15,32 +15,39 @@ from mvstereo.training import focal_loss
 
 class TestRegularizer:
     def test_output_shape_equals_input_shape(self, f32, rng):
-        reg = VolumeRegularizer(rng, depth_count=8)
+        reg = VolumeRegularizer(rng)
         vol = ad.tensor(rng.random((12, 10, 8)))
         assert reg(vol).shape == (12, 10, 8)
 
     def test_deterministic(self, f32, rng):
-        reg = VolumeRegularizer(rng, depth_count=8)
+        reg = VolumeRegularizer(rng)
         vol = ad.tensor(rng.random((8, 8, 8)))
         np.testing.assert_array_equal(reg(vol).data, reg(vol).data)
 
-    def test_small_depth_count_uses_plain_stack(self, f32, rng):
-        reg = VolumeRegularizer(rng, depth_count=3)
-        assert not reg.use_unet
-        vol = ad.tensor(rng.random((6, 7, 3)))
-        assert reg(vol).shape == (6, 7, 3)
-
     def test_odd_extents_survive_unet(self, f32, rng):
-        reg = VolumeRegularizer(rng, depth_count=5)
+        reg = VolumeRegularizer(rng)
         vol = ad.tensor(rng.random((7, 9, 5)))
         assert reg(vol).shape == (7, 9, 5)
 
     def test_gradients(self, f64, rng):
-        reg = VolumeRegularizer(rng, depth_count=4)
+        reg = VolumeRegularizer(rng)
         vol = ad.tensor(rng.random((4, 5, 4)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((4, 5, 4)))
         worst = ad.gradcheck(
             lambda v: ad.sum_(reg(v) * c), [vol], max_entries=8)
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unet_takes_fewer_than_four_hypotheses(self, f64, rng, d):
+        """Depth extents that cannot survive two halvings keep their shape
+        and their gradients. Pooled probes redraw a point whose +-h interval
+        straddles a ReLU kink (D = 2 here has one within 1e-5 of index 0)."""
+        reg = VolumeRegularizer(rng)
+        vol = ad.tensor(rng.random((5, 6, d)), requires_grad=True)
+        assert reg(vol).shape == (5, 6, d)
+        c = ad.tensor(rng.standard_normal((5, 6, d)))
+        worst = ad.gradcheck(
+            lambda v: ad.sum_(reg(v) * c), [vol], max_entries=8, pooled=True)
         assert worst < 1e-4
 
 
@@ -231,6 +238,33 @@ class TestCascade:
         loss.backward()
         for p in model.matcher.parameters():
             assert p.grad is None or np.abs(p.grad).max() == 0.0
+
+
+class TestSmallCounts:
+    """Stages under 4 hypotheses use the same U-Net as the others."""
+
+    def test_cascade_with_small_counts_gives_valid_depths(self, f32):
+        cfg = CascadeConfig(counts=(8, 3, 2))
+        scene = render_synthetic_scene(SceneSpec(height=16, width=16, focal=18.0),
+                                       seed=2)
+        model = StereoModel(ModelConfig(cascade=cfg), seed=0)
+        with ad.no_grad():
+            outs = model(scene.views)
+        assert [o.prob.shape[-1] for o in outs] == [8, 3, 2]
+        for o in outs:
+            depth, conf = o.estimate.depth, o.estimate.confidence
+            assert np.isfinite(depth).all()
+            assert ((depth >= cfg.d_min) & (depth <= cfg.d_max)).all()
+            assert ((conf >= 0) & (conf <= 1)).all()
+
+    def test_state_does_not_depend_on_counts(self):
+        small = StereoModel(ModelConfig(cascade=CascadeConfig(counts=(8, 3, 2))), seed=0)
+        default = StereoModel(ModelConfig(), seed=0)
+        a, b = small.state(), default.state()
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].dtype == b[name].dtype, name
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
 
 class TestCascadeConfig:
