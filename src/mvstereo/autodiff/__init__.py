@@ -45,6 +45,7 @@ from .conv import conv2d, conv3d
 from .sampling import (
     deformable_conv2d,
     grid_sample_2d,
+    sampled_correlation,
     upsample_bilinear_2x,
     upsample_trilinear_2x,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "pow_const", "relu", "reshape", "softmax", "stack", "sub",
     "sum_", "take_along_axis", "transpose",
     "conv2d", "conv3d",
-    "deformable_conv2d", "grid_sample_2d", "upsample_bilinear_2x", "upsample_trilinear_2x",
+    "deformable_conv2d", "grid_sample_2d", "sampled_correlation",
+    "upsample_bilinear_2x", "upsample_trilinear_2x",
     "gradcheck", "max_relative_error",
 ]

@@ -116,14 +116,16 @@ def elu(a):
     """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise.
 
     Backward reads only the output: out > 0 exactly where a > 0, and
-    elsewhere out is exp(a) - 1, so its slope there is out + 1.
+    elsewhere out is exp(a) - 1, so its slope there is out + 1. Neither
+    branches per element on the data: in the forward one of the two terms
+    is an exact zero, and min(out, 0) is exactly 0 where out > 0, so both
+    equal the ``np.where`` forms.
     """
     a = as_tensor(a)
-    neg_part = np.expm1(np.minimum(a.data, 0))
-    out = np.where(a.data > 0, a.data, neg_part)
+    out = np.expm1(np.minimum(a.data, 0)) + np.maximum(a.data, 0)
 
     def backward(g):
-        return (g * np.where(out > 0, 1.0, out + 1.0),)
+        return (g * (np.minimum(out, 0) + 1),)
 
     return make_op("elu", out, (a,), backward)
 

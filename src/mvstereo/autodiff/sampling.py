@@ -17,8 +17,15 @@ call, one channel at a time with ``np.bincount``, so each scatter's [H*W]
 output stays in cache).
 
 grid_sample_2d computes the corner state once per call and keeps it for
-backward, plus the input's values only when the grid requires a gradient;
-the homography warps sample along constant grids and keep none.
+backward, plus the input's values only when the grid requires a gradient.
+
+sampled_correlation is the plane sweep's grid sample and channel
+correlation in one op, for a constant grid: it blends a block of samples
+and reduces it against the reference at once, so neither its forward nor
+its node holds the sampled [D, C, H', W'] volume. It keeps both feature
+maps and the corner state; backward samples the source again, block by
+block, for the reference's gradient, and scatters for the source's. Values
+and gradients equal grid_sample_2d, mul and sum_ bit for bit.
 
 deformable_conv2d is one op, not a grid sample followed by a matrix
 product. Forward samples the nine taps of a block of pixels into a
@@ -42,10 +49,10 @@ import math
 
 import numpy as np
 
-from .tensor import DimensionError, Tensor, as_tensor, make_op
+from .tensor import ContractError, DimensionError, Tensor, as_tensor, make_op
 
-__all__ = ["deformable_conv2d", "grid_sample_2d", "upsample_bilinear_2x",
-           "upsample_trilinear_2x"]
+__all__ = ["deformable_conv2d", "grid_sample_2d", "sampled_correlation",
+           "upsample_bilinear_2x", "upsample_trilinear_2x"]
 
 _BLOCK_ENTRIES = 1 << 16  # sampled values (channels x samples) per block
 _PIXEL_GROUP = 64         # deformable-conv block widths are multiples of this
@@ -112,6 +119,77 @@ def grid_sample_2d(input, grid) -> tuple[Tensor, np.ndarray]:
     # The caller gets its own mask: backward reads ``valid``, so a caller
     # editing the returned mask in place must not change the gradients.
     return make_op("grid_sample_2d", out, (x_t, g_t), backward), valid.copy()
+
+
+def sampled_correlation(reference, source, grid) -> tuple[Tensor, np.ndarray]:
+    """Correlate ``reference`` [C, H', W'] with ``source`` [C, H, W] sampled
+    along a constant ``grid`` [D, H', W', 2]: out[d, p] is the sum over c of
+    reference[c, p] * grid_sample_2d(source, grid)[d, c, p].
+
+    Returns the correlation [D, H', W'] and the samples' validity mask
+    [D, H', W'], as grid_sample_2d reports it.
+    """
+    r_t, x_t, g_t = as_tensor(reference), as_tensor(source), as_tensor(grid)
+    if g_t.requires_grad:
+        raise ContractError("sampled_correlation takes a constant grid; sample with "
+                            "grid_sample_2d to differentiate the grid")
+    if r_t.ndim != 3 or x_t.ndim != 3 or g_t.ndim != 4 or g_t.shape[-1] != 2:
+        raise DimensionError(f"sampled_correlation expects [C,H',W'], [C,H,W] and "
+                             f"[D,H',W',2], got {r_t.shape}, {x_t.shape}, {g_t.shape}")
+    if r_t.shape[0] != x_t.shape[0] or r_t.shape[1:] != g_t.shape[1:3]:
+        raise DimensionError(f"channel or extent mismatch: reference {r_t.shape} vs "
+                             f"source {x_t.shape} sampled on {g_t.shape}")
+    c, h, w = x_t.shape
+    if h < 2 or w < 2:
+        raise DimensionError("sampled_correlation source must be at least 2x2")
+
+    dtype, planes = x_t.dtype, g_t.shape[0]
+    n = math.prod(g_t.shape[1:3])
+    i00, wx, wy, valid = (a.reshape(planes, n) for a in _corners(
+        g_t.data[..., 0], g_t.data[..., 1], h, w, dtype))
+    ref, flat = r_t.data.reshape(c, n), x_t.data.reshape(c, h * w)
+
+    def sampled(src):
+        """Yield (plane, sample slice, sampled block [C, m]) over the grid;
+        every block is a view of one buffer, rewritten for each."""
+        buf = None
+        for b, at, corner in _blocks(planes, n, c, dtype):
+            if buf is None:
+                buf = np.empty(corner.size, dtype=dtype)
+            block = buf[:corner.size].reshape(corner.shape)
+            _blend(_gathered(src, i00[b, at], w, corner),
+                   _blend_weights(wx[b, at], wy[b, at], valid[b, at]), block, corner)
+            yield b, at, block
+
+    out = np.empty((planes, n), dtype=dtype)
+    for b, at, block in sampled(flat):
+        block *= ref[:, at]
+        block.sum(axis=0, out=out[b, at])
+
+    # The reference's gradient reads the source, the source's the reference.
+    kept_src = flat if r_t.requires_grad else None
+    kept_ref = ref if x_t.requires_grad else None
+
+    def backward(g):
+        g = g.reshape(planes, n)
+        g_ref = g_src = None
+        if kept_src is not None:
+            # Summed over the planes in order from +0, as mul's unbroadcast
+            # sums its [D, C, H', W'] product (so signed zeros match, too).
+            g_ref = np.zeros((c, n), dtype=dtype)
+            for b, at, block in sampled(kept_src):
+                block *= g[b, at]
+                g_ref[:, at] += block
+            g_ref = g_ref.reshape(r_t.shape)
+        if kept_ref is not None:
+            weights = _stacked_weights(wx, wy, valid)
+            g_src = _scatter((g * row for row in kept_ref), i00, weights, w, h * w)
+            g_src = g_src.reshape(c, h, w)
+        return g_ref, g_src, None
+
+    return (make_op("sampled_correlation", out.reshape(g_t.shape[:3]), (r_t, x_t, g_t),
+                    backward),
+            valid.reshape(g_t.shape[:3]).copy())
 
 
 def deformable_conv2d(input, kernel, offsets) -> Tensor:
@@ -289,7 +367,8 @@ def _stacked_weights(wx, wy, valid) -> np.ndarray:
 
 def _scatter(gc, i00, weights, w: int, hw: int) -> np.ndarray:
     """The blend's adjoint: the image gradient [C, hw] of samples whose
-    output gradient is ``gc`` [C, *samples], top-left corners ``i00`` and
+    output gradient is ``gc``, an array [C, *samples] or any iterable of the
+    C channels' [*samples] gradients, with top-left corners ``i00`` and
     blend weights ``weights`` [4, *samples].
 
     One scatter per channel over all four corners: its [hw] output stays in
@@ -297,11 +376,9 @@ def _scatter(gc, i00, weights, w: int, hw: int) -> np.ndarray:
     """
     idx = np.add.outer((0, 1, w, w + 1), i00).ravel()
     scaled = np.empty(weights.shape, dtype=np.float64)
-    out = np.empty((len(gc), hw), dtype=weights.dtype)
-    for ch in range(len(gc)):
-        np.multiply(weights, gc[ch], out=scaled)
-        out[ch] = np.bincount(idx, weights=scaled.ravel(), minlength=hw)
-    return out
+    return np.array([np.bincount(idx, weights=np.multiply(weights, g_ch, out=scaled).ravel(),
+                                 minlength=hw)
+                     for g_ch in gc], dtype=weights.dtype)
 
 
 def _corners(gx, gy, h: int, w: int, dtype):

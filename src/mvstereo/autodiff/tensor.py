@@ -17,6 +17,13 @@ is therefore acyclic and owned by its root: dropping the loss frees every
 node, saved array and closure by reference counting, without waiting for
 the cyclic garbage collector.
 
+The backward walk frees the graph as it goes: it drops each node's closure
+once the node has run (or been skipped), so every saved array dies as soon
+as the walk has passed its node, and a step's peak is not the whole graph
+plus the backward's working set. A graph is therefore backpropagated once;
+a second backward through it raises ``ContractError``. Gradients of several
+forward passes accumulate in ``.grad``, one backward each.
+
 Element precision (float32 or float64), tape recording and NaN checks are
 per-thread switches, so the same code can run finite-difference checks in
 64-bit and training in 32-bit.
@@ -135,9 +142,11 @@ class Node:
     its closure, and the closure owns only the arrays its formula reads,
     never the reverse; the root loss owns the whole graph and dropping the
     loss frees it by reference count. ``Tape.backward`` routes gradients by
-    producer node and casts each to that node's ``out_dtype``. A closure may
-    keep an input's buffer instead of a copy, so buffers must not be
-    mutated in place between forward and backward.
+    producer node, casts each to that node's ``out_dtype``, and sets
+    ``backward_fn`` to None once the node is passed, freeing the closure: a
+    node runs its gradient rule at most once. A closure may keep an input's
+    buffer instead of a copy, so buffers must not be mutated in place
+    between forward and backward.
     """
 
     __slots__ = ("op", "inputs", "out_shape", "out_dtype", "backward_fn")
@@ -206,8 +215,10 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every requires-grad leaf.
 
-        ``self`` must be scalar. Repeated calls without ``zero_grad``
-        accumulate, which is what per-step gradient summation relies on.
+        ``self`` must be scalar. The walk consumes the graph below ``self``,
+        so a second call on the same loss raises ContractError; a new
+        forward and backward without ``zero_grad`` accumulates into
+        ``.grad``. A leaf with no graph may be backpropagated again.
         """
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -276,7 +287,7 @@ class Tape:
     """Topologically ordered record of the operations below one root.
 
     Every node's inputs appear before the node itself; the backward walk
-    visits each node exactly once, in reverse order.
+    visits each node exactly once, in reverse order, and frees its closure.
     """
 
     def __init__(self, nodes: list[Node]):
@@ -323,10 +334,17 @@ class Tape:
         # Output gradients keyed by producer node; leaves accumulate into .grad.
         pending: dict[int, np.ndarray] = {id(root.node): seed}
         for node in reversed(self.nodes):
+            # Taken off the node before it runs: the closure's saved arrays
+            # die once this step is done, skipped or not.
+            backward_fn, node.backward_fn = node.backward_fn, None
             g_out = pending.pop(id(node), None)
             if g_out is None:
                 continue
-            grads = node.backward_fn(g_out)
+            if backward_fn is None:
+                raise ContractError(
+                    f"op '{node.op}' was already backpropagated: a graph runs backward "
+                    f"once; run the forward again for another backward")
+            grads = backward_fn(g_out)
             for edge, g in zip(node.inputs, grads):
                 if g is None or edge is None:
                     continue

@@ -111,7 +111,10 @@ def load_config(path=None, text: str | None = None) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -6,9 +6,18 @@ per-view volumes are aggregated with pixel-wise saliency weights (each
 view's maximum correlation over depth). Out-of-view warps contribute exact
 zeros and are excluded from the saliency maximum, so image borders cannot
 dominate the aggregation.
+
+A warp is built lazily: ``warp_source_features`` returns what to sample and
+where (a ``SourceWarp``), and ``pairwise_correlation`` samples and
+correlates it in one op, ``autodiff.sampled_correlation``, so no (D, F, H',
+W') warped volume is held, by the forward or by the graph. A warp along
+depths that require grad is sampled into a volume with grid_sample_2d, the
+one op that differentiates the grid.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,39 +25,60 @@ from . import autodiff as ad
 from .autodiff import ContractError, DimensionError, Tensor
 from .cameras import Extrinsics, Intrinsics, build_warp_grid
 
-__all__ = ["warp_source_features", "pairwise_correlation", "aggregate_correlation"]
+__all__ = ["SourceWarp", "warp_source_features", "pairwise_correlation",
+           "aggregate_correlation"]
 
 _MASK_FILL = 1e9  # pushed below every real correlation before the saliency max
 
 
+class SourceWarp(NamedTuple):
+    """A source feature map (F, H, W), the (D, H', W', 2) grid of its pixel
+    coordinates that every depth plane samples, and the (D, H', W') mask of
+    samples in front of the source camera."""
+
+    source: Tensor
+    grid: Tensor
+    in_front: np.ndarray
+
+    def sample(self) -> tuple[Tensor, np.ndarray]:
+        """The warped features (D, F, H', W') and their validity (D, H', W'):
+        False where the warp leaves the source image or lands behind it."""
+        warped, inside = ad.grid_sample_2d(self.source, self.grid)
+        return warped, self.in_front & inside
+
+
 def warp_source_features(src_feat: Tensor, depth,
                          ref_intr: Intrinsics, ref_extr: Extrinsics,
-                         src_intr: Intrinsics, src_extr: Extrinsics
-                         ) -> tuple[Tensor, np.ndarray]:
-    """Sample a source feature map at every depth plane.
+                         src_intr: Intrinsics, src_extr: Extrinsics) -> SourceWarp:
+    """Where a source feature map is sampled at every depth plane.
 
     ``depth`` holds (D, H', W') depth planes, an array or a tensor
-    (differentiable). Returns warped features (D, F, H', W') and a
-    validity mask (D, H', W') that is False where the warp leaves the
-    source image or lands behind the source camera.
+    (differentiable). Only the grid is built here; ``SourceWarp.sample``
+    or ``pairwise_correlation`` samples it.
     """
     grid, in_front = build_warp_grid(depth, ref_intr, ref_extr, src_intr, src_extr)
-    warped, inside = ad.grid_sample_2d(src_feat, grid)
-    return warped, in_front & inside
+    return SourceWarp(ad.as_tensor(src_feat), grid, in_front)
 
 
-def pairwise_correlation(ref_feat: Tensor, warped: Tensor,
-                         mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def pairwise_correlation(ref_feat: Tensor, warped: Tensor | SourceWarp,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Inner product over channels: c at (p, d) = <F0(p), warped(d, p)>.
 
-    ``ref_feat`` is (F, H', W'); ``warped`` is (D, F, H', W') with its
-    (D, H', W') validity mask. Returns the (H', W', D) volume and its
-    validity mask; masked entries are exact zeros.
+    ``ref_feat`` is (F, H', W'). ``warped`` is a ``SourceWarp``, sampled
+    here, or a warped volume (D, F, H', W') with its (D, H', W') validity
+    ``mask``. Returns the (H', W', D) volume and its validity mask; masked
+    entries are exact zeros.
     """
-    if ref_feat.ndim != 3 or warped.ndim != 4 or ref_feat.shape[0] != warped.shape[1]:
-        raise DimensionError(
-            f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")
-    corr = ad.sum_(ad.reshape(ref_feat, (1,) + ref_feat.shape) * warped, axis=1)
+    if isinstance(warped, SourceWarp) and not warped.grid.requires_grad:
+        corr, inside = ad.sampled_correlation(ref_feat, warped.source, warped.grid)
+        mask = warped.in_front & inside
+    else:
+        if isinstance(warped, SourceWarp):
+            warped, mask = warped.sample()
+        if ref_feat.ndim != 3 or warped.ndim != 4 or ref_feat.shape[0] != warped.shape[1]:
+            raise DimensionError(
+                f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")
+        corr = ad.sum_(ad.reshape(ref_feat, (1,) + ref_feat.shape) * warped, axis=1)
     corr = ad.transpose(corr, (1, 2, 0))                        # (H', W', D)
     mask = np.ascontiguousarray(np.moveaxis(mask, 0, -1))
     return corr * ad.tensor(mask.astype(corr.dtype)), mask

@@ -58,9 +58,12 @@ class FeaturePyramidNet(Module):
         e1 = self.enc1b(self.enc1a(subsample_2x(e0)))
         e2 = self.enc2b(self.enc2a(subsample_2x(e1)))
         f_quarter = self.head2(e2)
-        m1 = self.lat1(e1) + self.proj21(ad.upsample_bilinear_2x(e2))
+        # Each 1x1 projection runs before its upsample: both are linear and
+        # each interpolation row sums to 1, so the order changes only
+        # rounding, and the graph keeps the coarse map, not its 4x upsample.
+        m1 = self.lat1(e1) + ad.upsample_bilinear_2x(self.proj21(e2))
         f_half = self.head1(m1)
-        m0 = self.lat0(e0) + self.proj10(ad.upsample_bilinear_2x(m1))
+        m0 = self.lat0(e0) + ad.upsample_bilinear_2x(self.proj10(m1))
         f_full = self.head0(m0)
         return f_quarter, f_half, f_full
 
@@ -90,15 +93,17 @@ class DeformableConv2d(Module):
 
 
 class PathwayMerge(Module):
-    """Upsample coarse transformed features 2x, project channels, add to finer."""
+    """Project coarse transformed features' channels, upsample them 2x, and
+    add them to the finer features: the 1x1 projection commutes with the
+    upsample (see FeaturePyramidNet), so it runs at the coarse scale."""
 
     def __init__(self, rng: np.random.Generator, coarse_channels: int, fine_channels: int):
         super().__init__()
         self.proj = ConvLayer(rng, coarse_channels, fine_channels, kernel=1, act=False)
 
     def __call__(self, transformed_coarse: Tensor, raw_finer: Tensor) -> Tensor:
-        up = ad.upsample_bilinear_2x(transformed_coarse)
+        up = ad.upsample_bilinear_2x(self.proj(transformed_coarse))
         if up.shape[1:] != raw_finer.shape[1:]:
             raise DimensionError(
                 f"pathway spatial mismatch: upsampled {up.shape} vs finer {raw_finer.shape}")
-        return raw_finer + self.proj(up)
+        return raw_finer + up

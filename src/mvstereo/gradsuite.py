@@ -61,19 +61,32 @@ def check_grid_sample(rng) -> float:
     grid = ad.tensor(rng.uniform(0.1, 5.4, size=(4, 5, 2))
                      + rng.choice([0.15, 0.45], size=(4, 5, 2)), requires_grad=True)
     c = _coef(rng, (3, 4, 5))
-    return gradcheck(lambda i, g: ad.sum_(ad.grid_sample_2d(i, g)[0] * c), [img, grid],
-                     max_entries=8, rng=rng)
+    worst = gradcheck(lambda i, g: ad.sum_(ad.grid_sample_2d(i, g)[0] * c), [img, grid],
+                      max_entries=8, rng=rng)
+    # The plane sweep's sample-and-correlate op: bilinear in its two maps,
+    # along a constant grid with some samples out of bounds.
+    ref = _t(rng, (3, 4, 5))
+    sweep = ad.tensor(rng.uniform(-0.5, 6.5, size=(2, 4, 5, 2)))
+    cs = _coef(rng, (2, 4, 5))
+    return max(worst, gradcheck(
+        lambda r, i: ad.sum_(ad.sampled_correlation(r, i, sweep)[0] * cs), [ref, img],
+        max_entries=8, rng=rng))
 
 
 def check_elementwise(rng) -> float:
-    # elu away from its kink; exp/log/relu on safe ranges.
+    # elu and relu away from their kink; softmax, layer_norm, max, and
+    # exp/log on safe ranges.
     x = ad.tensor(rng.uniform(0.2, 2.0, size=(3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5)),
                   requires_grad=True)
     c = _coef(rng, (3, 5))
     worst = gradcheck(lambda x: ad.sum_(ad.elu(x) * c), [x], max_entries=8, rng=rng)
+    worst = max(worst, gradcheck(lambda x: ad.sum_(ad.relu(x) * c), [x],
+                                 max_entries=8, rng=rng))
     y = _t(rng, (4, 6))
     cy = _coef(rng, (4, 6))
     worst = max(worst, gradcheck(lambda y: ad.sum_(ad.softmax(y, axis=1) * cy), [y],
+                                 max_entries=8, rng=rng))
+    worst = max(worst, gradcheck(lambda y: ad.sum_(ad.layer_norm(y, axis=1) * cy), [y],
                                  max_entries=8, rng=rng))
     z = _t(rng, (3, 4))
     cz = _coef(rng, (3,))

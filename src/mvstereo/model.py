@@ -175,8 +175,8 @@ class StereoModel(Module):
         ref_view = views[0]
         ref_intr = ref_view.intrinsics.scaled(scale)
         depth = ad.tensor(hyps.planes(*feats[0].shape[1:]))
-        # No name holds a warped volume: each dies inside its correlation.
-        pairs = [pairwise_correlation(feats[0], *warp_source_features(
+        # The correlation samples each warp: no warped volume is ever held.
+        pairs = [pairwise_correlation(feats[0], warp_source_features(
                      feat, depth, ref_intr, ref_view.extrinsics,
                      view.intrinsics.scaled(scale), view.extrinsics))
                  for feat, view in zip(feats[1:], views[1:])]

@@ -236,6 +236,7 @@ def fit(model: StereoModel, scenes: list[SyntheticScene], steps: int,
 
 _MAGIC = b"MVSTCKPT"
 _VERSION = 1
+_MAX_DIMS = 64  # numpy's limit on an array's dimensions
 
 
 def save_checkpoint(path, model: StereoModel, optimizer: Adam | None = None) -> None:
@@ -292,6 +293,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         name = bytes(take(name_len, f"entry {i}")).decode("utf-8", errors="replace")
         where = f"entry {i} '{name}'"
         (ndim,) = struct.unpack("<I", take(4, where))
+        if ndim > _MAX_DIMS:
+            raise ContractError(f"{path}: {where} has {ndim} dimensions; "
+                                f"an array has at most {_MAX_DIMS}")
         shape = struct.unpack(f"<{ndim}q", take(8 * ndim, where))
         if min(shape, default=0) < 0:
             raise ContractError(f"{path}: negative extent in the shape of {where}")

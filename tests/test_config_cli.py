@@ -217,6 +217,22 @@ class TestCliBasics:
         assert result.returncode == 2
         assert "bogus_option" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("print-config",), ("synth", "--out", "o"), ("train", "--scenes", "s", "--out", "o"),
+        ("infer", "--scene", "s", "--out", "o"),
+        ("fuse", "--scene", "s", "--depths", "d", "--out", "o")], ids=lambda c: c[0])
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command):
+        """A byte that is not UTF-8 is a configuration error naming the file,
+        in every command that reads a config, before it writes anything."""
+        from mvstereo import cli
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[loss]\n# it\x92s cp1252\ngamma = 2.0\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(cfg) in err[0], err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_subcommand_exit_code_2(self):
         assert run_cli("frobnicate").returncode == 2
 

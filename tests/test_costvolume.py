@@ -74,6 +74,91 @@ class TestPairwiseCorrelation:
                                  np.ones((2, 3, 3), dtype=bool))
 
 
+def sweep_grid(rng, planes, h, w, src_h, src_w):
+    """A constant (D, H', W', 2) grid reaching past every border of the
+    source, with a non-finite and a wild coordinate."""
+    grid = np.stack([rng.uniform(-3.0, src_w + 2.0, (planes, h, w)),
+                     rng.uniform(-3.0, src_h + 2.0, (planes, h, w))], axis=-1)
+    grid[0, 0, 0, 0], grid[-1, -1, -1, 1] = np.nan, 1e9
+    return grid
+
+
+class TestSampledCorrelation:
+    """The op equals grid_sample_2d -> mul -> sum_ bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("c,planes,h,w", [(32, 16, 16, 20), (16, 8, 32, 40),
+                                              (8, 4, 64, 80), (300, 3, 20, 20)],
+                             ids=["stage1", "stage2", "stage3", "blocks"])
+    def test_equals_the_composition_bitwise(self, rng, dtype, c, planes, h, w):
+        with ad.precision(dtype):
+            ref0, src0 = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
+            grid = ad.tensor(sweep_grid(rng, planes, h, w, h, w))
+            g = ad.tensor(rng.standard_normal((planes, h, w)))
+            ref, src = (ad.tensor(a, requires_grad=True) for a in (ref0, src0))
+            warped, want_mask = ad.grid_sample_2d(src, grid)
+            want = ad.sum_(ad.reshape(ref, (1, c, h, w)) * warped, axis=1)
+            ad.sum_(want * g).backward()
+            fused_ref, fused_src = (ad.tensor(a, requires_grad=True) for a in (ref0, src0))
+            got, mask = ad.sampled_correlation(fused_ref, fused_src, grid)
+            ad.sum_(got * g).backward()
+        assert got.data.tobytes() == want.data.tobytes()
+        assert fused_ref.grad.tobytes() == ref.grad.tobytes()
+        assert fused_src.grad.tobytes() == src.grad.tobytes()
+        np.testing.assert_array_equal(mask, want_mask)
+
+    def test_grid_requiring_grad_rejected(self, f64, rng):
+        grid = ad.tensor(rng.uniform(0.0, 3.0, (2, 3, 4, 2)), requires_grad=True)
+        with pytest.raises(ContractError, match="constant grid"):
+            ad.sampled_correlation(ad.tensor(rng.random((2, 3, 4))),
+                                   ad.tensor(rng.random((2, 5, 5))), grid)
+
+    def test_channel_mismatch_rejected(self, f64, rng):
+        with pytest.raises(ad.DimensionError, match="channel"):
+            ad.sampled_correlation(ad.tensor(rng.random((3, 3, 4))),
+                                   ad.tensor(rng.random((2, 5, 5))),
+                                   ad.tensor(rng.uniform(0.0, 3.0, (2, 3, 4, 2))))
+
+
+class TestCorrelationOfAWarp:
+    """pairwise_correlation samples a SourceWarp itself."""
+
+    def warp(self, feat, depth):
+        intr = Intrinsics(20.0, 20.0, 4.5, 3.5)
+        src_pose = Extrinsics(np.eye(3), np.array([0.3, -0.1, 0.05]))
+        return warp_source_features(feat, depth, intr, Extrinsics(np.eye(3), np.zeros(3)),
+                                    intr, src_pose)
+
+    def test_equals_the_correlation_of_its_sampled_volume(self, f32, rng):
+        feat = ad.tensor(rng.standard_normal((6, 8, 10)), requires_grad=True)
+        warp = self.warp(feat, sample_hypotheses_initial(1.0, 2.0, 5).planes(8, 10))
+        ref = ad.tensor(rng.standard_normal((6, 8, 10)), requires_grad=True)
+        got, mask = pairwise_correlation(ref, warp)
+        ad.sum_(got).backward()
+        grads = ref.grad, warp.source.grad
+        ref.zero_grad(), warp.source.zero_grad()
+        want, want_mask = pairwise_correlation(ref, *warp.sample())
+        ad.sum_(want).backward()
+        assert not mask.all() and mask.any()
+        np.testing.assert_array_equal(mask, want_mask)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(grads, (ref.grad, warp.source.grad)))
+
+    def test_differentiable_depth_is_sampled(self, f64, rng):
+        """A grid that requires grad goes through grid_sample_2d, so the
+        depth gets its gradient."""
+        depth = ad.tensor(sample_hypotheses_initial(1.0, 2.0, 3).planes(8, 10),
+                          requires_grad=True)
+        ref, feat = (ad.tensor(rng.standard_normal((6, 8, 10))) for _ in range(2))
+        c = ad.tensor(rng.standard_normal((8, 10, 3)))
+        worst = ad.gradcheck(
+            lambda d: ad.sum_(pairwise_correlation(ref, self.warp(feat, d))[0] * c),
+            [depth], max_entries=12)
+        assert worst < 1e-4
+        assert np.any(depth.grad)
+
+
 def aggregate_per_source(volumes, masks):
     """The saliency aggregation as a loop over sources, one op chain each."""
     total = None
@@ -159,7 +244,8 @@ class TestWarpedFeatures:
         pose = Extrinsics(np.eye(3), np.zeros(3))
         feat = ad.tensor(rng.standard_normal((6, 8, 10)))
         hyps = sample_hypotheses_initial(1.0, 2.0, 3)
-        warped, mask = warp_source_features(feat, hyps.planes(8, 10), intr, pose, intr, pose)
+        warped, mask = warp_source_features(
+            feat, hyps.planes(8, 10), intr, pose, intr, pose).sample()
         assert warped.shape == (3, 6, 8, 10)
         assert mask.all()
         for d in range(3):
@@ -179,7 +265,7 @@ class TestWarpedFeatures:
         warped, mask = warp_source_features(
             ad.tensor(src.image), hyps.planes(ref.height, ref.width),
             ref.intrinsics, ref.extrinsics,
-            src.intrinsics, src.extrinsics)
+            src.intrinsics, src.extrinsics).sample()
         cov = covisible_mask(scene, 0, 1) & mask[8]
         at_gt = np.abs(warped.data[8] - ref.image)[:, cov].mean()
         off_gt = np.abs(warped.data[0] - ref.image)[:, cov].mean()
@@ -220,10 +306,9 @@ def matching_hit_rate(scene, depth_count: int = 32) -> tuple[float, int]:
     with ad.no_grad():
         pairs = []
         for feat, view in zip(feats[1:], views[1:]):
-            warped, mask = warp_source_features(
+            pairs.append(pairwise_correlation(ad.tensor(feats[0]), warp_source_features(
                 ad.tensor(feat), depth, ref.intrinsics, ref.extrinsics,
-                view.intrinsics, view.extrinsics)
-            pairs.append(pairwise_correlation(ad.tensor(feats[0]), warped, mask))
+                view.intrinsics, view.extrinsics)))
         volumes, masks = zip(*pairs)
         volume = aggregate_correlation(ad.stack(volumes), np.stack(masks)).data
     winner = volume.argmax(axis=2)

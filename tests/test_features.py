@@ -181,6 +181,38 @@ class TestDeformableConv:
         assert worst < 1e-4
 
 
+def fpn_upsample_first(fpn, image):
+    """The pyramid with each 1x1 projection after its upsample."""
+    e0 = fpn.enc0b(fpn.enc0a(image))
+    e1 = fpn.enc1b(fpn.enc1a(e0[:, ::2, ::2]))
+    e2 = fpn.enc2b(fpn.enc2a(e1[:, ::2, ::2]))
+    m1 = fpn.lat1(e1) + fpn.proj21(ad.upsample_bilinear_2x(e2))
+    m0 = fpn.lat0(e0) + fpn.proj10(ad.upsample_bilinear_2x(m1))
+    return fpn.head2(e2), fpn.head1(m1), fpn.head0(m0)
+
+
+class TestCoarseScaleProjection:
+    """The 1x1 projections run before their 2x upsample; both are linear
+    and each interpolation row sums to 1, so the bias commutes as well and
+    only rounding differs from projecting the upsampled map."""
+
+    def test_pyramid_equals_the_upsample_first_order(self, f64, rng):
+        fpn = FeaturePyramidNet(rng)
+        for layer in (fpn.proj21, fpn.proj10):
+            layer.bias.data[...] = rng.standard_normal(layer.bias.shape)
+        image = ad.tensor(rng.random((3, 16, 24)))
+        for got, want in zip(fpn(image), fpn_upsample_first(fpn, image)):
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    def test_pathway_equals_the_upsample_first_order(self, f64, rng):
+        merge = PathwayMerge(rng, 32, 16)
+        merge.proj.bias.data[...] = rng.standard_normal(16)
+        coarse = ad.tensor(rng.standard_normal((32, 6, 10)))
+        raw = ad.tensor(rng.standard_normal((16, 12, 20)))
+        want = raw + merge.proj(ad.upsample_bilinear_2x(coarse))
+        np.testing.assert_allclose(merge(coarse, raw).data, want.data, rtol=0, atol=1e-12)
+
+
 class TestPathway:
     def test_zero_coarse_leaves_raw_unchanged(self, f64, rng):
         merge = PathwayMerge(rng, coarse_channels=32, fine_channels=16)

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,22 @@ class TestElementwise:
         assert out.data[0] == 0.0
         assert out.data[1] == 1.5
         np.testing.assert_allclose(out.data[2], np.expm1(-1.0))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_elu_equals_its_where_form(self, dtype):
+        """The branch-free forward and backward equal the per-element
+        ``np.where`` forms, at the kink, the tails and non-finite inputs."""
+        values = [0.0, -0.0, 1e-30, -1e-30, -100.0, np.inf, -np.inf, np.nan, 1.5, -0.7]
+        with ad.precision(dtype):
+            x = ad.tensor(values, requires_grad=True)
+            out = ad.elu(x)
+            g = np.linspace(-2.0, 2.0, len(values)).astype(dtype)
+            ad.sum_(out * ad.tensor(g)).backward()
+        a = np.asarray(values, dtype=dtype)
+        want = np.where(a > 0, a, np.expm1(np.minimum(a, 0)))
+        assert out.dtype == want.dtype and x.grad.dtype == want.dtype
+        assert np.array_equal(out.data, want, equal_nan=True)
+        assert np.array_equal(x.grad, g * np.where(want > 0, 1.0, want + 1.0), equal_nan=True)
 
     def test_softmax_of_zeros_is_uniform(self, f64):
         for d in (1, 3, 7):
@@ -158,12 +175,22 @@ class TestBackward:
         (ad.sum_(x * x) * 0.5).backward()
         np.testing.assert_allclose(x.grad, x.data, rtol=1e-12)
 
-    def test_repeated_backward_accumulates(self, f64):
+    def test_two_forward_backward_passes_accumulate(self, f64):
         x = ad.tensor([2.0], requires_grad=True)
-        loss = ad.sum_(x * 3.0)
-        loss.backward()
-        loss.backward()
+        for _ in range(2):
+            ad.sum_(x * 3.0).backward()
         np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_second_backward_on_one_loss_raises(self, f64, rng):
+        """The walk consumed the graph: a second backward names the op it
+        reaches first and leaves the gradients of the first one as they were."""
+        x = ad.tensor(rng.standard_normal(6), requires_grad=True)
+        loss = ad.sum_(ad.relu(x * 2.0))
+        loss.backward()
+        once = x.grad.copy()
+        with pytest.raises(ad.ContractError, match="'sum' was already backpropagated"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, once)
 
     def test_non_scalar_loss_rejected(self, f64):
         x = ad.tensor(np.zeros(3), requires_grad=True)
@@ -237,18 +264,21 @@ class TestEdges:
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, (2.0 * scale.data).astype(np.float32))
 
-    def test_two_backward_calls_after_the_forward_drops_its_tensors(self, f64, rng):
-        """The intermediates are gone once the forward drops them; the
-        nodes still route a second backward the same way."""
+    def test_backward_frees_what_the_forward_dropped(self, f64, rng):
+        """An intermediate the forward dropped lives on only in the closures
+        that read it; the walk frees each closure as it passes, so the
+        array is gone once backward returns, though the loss is still held."""
         x = ad.tensor(rng.standard_normal(6), requires_grad=True)
         h = ad.relu(x * 2.0 - 0.5)
+        saved = weakref.ref(h.data)  # read by relu's and mul's backward
         loss = ad.sum_(h * h)
         del h
+        assert saved() is not None
         loss.backward()
-        once = x.grad.copy()
-        loss.backward()
-        np.testing.assert_array_equal(x.grad, 2.0 * once)
-        np.testing.assert_allclose(once, 4.0 * np.maximum(2.0 * x.data - 0.5, 0.0), rtol=1e-12)
+        assert saved() is None
+        assert all(node.backward_fn is None for node in ad.Tape.trace(loss).nodes)
+        np.testing.assert_allclose(x.grad, 4.0 * np.maximum(2.0 * x.data - 0.5, 0.0),
+                                   rtol=1e-12)
 
 
 class TestTape:

@@ -391,6 +391,23 @@ class TestCheckpoint:
             load_checkpoint(negative)
         assert str(negative) in str(info.value) and f"'{names[0]}'" in str(info.value)
 
+    def test_too_many_dimensions_are_named(self, f32, tmp_path):
+        """An ndim past numpy's 64, with enough bytes left for its shape,
+        raises ContractError naming the file and the entry."""
+        import struct
+        _, model, _ = _tiny_setup(seed=4)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        name = sorted(model.state())[0]
+        ndim_offset = 16 + 4 + len(name.encode())
+        bad = tmp_path / "ndim.bin"
+        bad.write_bytes(blob[:ndim_offset] + struct.pack("<I", 371) + blob[ndim_offset + 4:])
+        assert len(blob) - ndim_offset - 4 >= 8 * 371
+        with pytest.raises(ad.ContractError, match="371 dimensions") as info:
+            load_checkpoint(bad)
+        assert str(bad) in str(info.value) and f"'{name}'" in str(info.value)
+
     def test_failed_save_keeps_previous_checkpoint(self, f32, tmp_path, monkeypatch):
         """A save that fails midway leaves the previous file loadable and
         no temporary file behind."""
