@@ -29,11 +29,16 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     is probed either exhaustively or at ``max_entries`` randomly chosen
     coordinates. With ``pooled``, ``max_entries`` probes are drawn across
     all requires-grad inputs, each tensor with probability proportional to
-    its size, for a function of many parameters (a whole model). Pooled
-    probes suit piecewise-smooth functions: a probe whose +-h interval
-    straddles a kink (an argmax flip, say) measures the jump, not a
-    derivative, so each pooled probe also differences at h/2 and is redrawn
-    when the two estimates disagree (a smooth point agrees to O(h^2)).
+    its size, for a function of many parameters (a whole model).
+
+    The functions are piecewise smooth: a probe whose +-h interval
+    straddles a kink (a ReLU's, an argmax flip) measures the jump, not a
+    derivative. So every probe also differences at h/2 and is skipped when
+    the two estimates disagree by more than ``rtol`` under the error measure
+    the check applies (a smooth point agrees to O(h^2)). A skipped
+    random probe is replaced by a new draw: any tensor in pooled mode, an
+    unprobed index of the same tensor otherwise. An exhaustive tensor
+    cannot redraw, and one left with no smooth probe fails the check.
 
     Returns the worst ``max_relative_error`` seen (absolute below magnitude
     1) and raises AssertionError if it exceeds ``rtol``. Run under 64-bit
@@ -49,24 +54,6 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     probed = [t for t in inputs if t.requires_grad]
     assert all(t.grad is not None for t in probed), "requires-grad input received no gradient"
 
-    def draws():
-        """(tensor, flat index) pairs to probe, in order."""
-        if pooled:
-            sizes = np.array([t.size for t in probed])
-            weights = sizes / sizes.sum()
-            for _ in range(10 * max_entries):
-                t = probed[int(rng.choice(len(probed), p=weights))]
-                yield t, int(rng.integers(t.size))
-            raise AssertionError("could not find enough smooth probe points")
-        for t in probed:
-            n = t.size
-            if max_entries is None or n <= max_entries:
-                coords = np.arange(n)
-            else:
-                coords = rng.choice(n, size=max_entries, replace=False)
-            for i in coords:
-                yield t, i
-
     def central(t, i, step):
         """The forward values do not depend on grad mode, so the probes
         record no tape."""
@@ -81,13 +68,13 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
         return (f_plus - f_minus) / (2.0 * step)
 
     worst = 0.0
-    accepted = 0
-    for t, i in draws():
+
+    def smooth_probe(t, i) -> bool:
+        """Check the probe and return True, or return False at a kink."""
+        nonlocal worst
         numeric = central(t, i, h)
-        if pooled:
-            half = central(t, i, h / 2)
-            if abs(numeric - half) > 0.05 * max(abs(numeric), abs(half), 1e-6):
-                continue  # non-smooth point: the quotient is not a derivative
+        if max_relative_error(np.asarray(numeric), np.asarray(central(t, i, h / 2))) > rtol:
+            return False
         analytic = float(t.grad.reshape(-1)[i])
         err = max_relative_error(np.asarray(analytic), np.asarray(numeric))
         worst = max(worst, err)
@@ -95,7 +82,39 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
             raise AssertionError(
                 f"gradient mismatch at flat index {i} of tensor shape {t.shape}: "
                 f"analytic={analytic:.8g} numeric={numeric:.8g} rel_err={err:.3g}")
-        accepted += 1
-        if pooled and accepted == max_entries:
-            break
+        return True
+
+    if pooled:
+        sizes = np.array([t.size for t in probed])
+        weights = sizes / sizes.sum()
+        accepted = 0
+        for _ in range(10 * max_entries):
+            t = probed[int(rng.choice(len(probed), p=weights))]
+            accepted += smooth_probe(t, int(rng.integers(t.size)))
+            if accepted == max_entries:
+                return worst
+        raise AssertionError("could not find enough smooth probe points")
+
+    for t in probed:
+        n = t.size
+        if max_entries is None or n <= max_entries:
+            coords = list(range(n))
+        else:
+            coords = [int(i) for i in rng.choice(n, size=max_entries, replace=False)]
+        drawn = np.zeros(n, dtype=bool)
+        drawn[coords] = True
+        accepted = skipped = 0
+        while coords:
+            if smooth_probe(t, coords.pop(0)):
+                accepted += 1
+                continue
+            skipped += 1
+            if not drawn.all():  # an exhaustive tensor has no index left to draw
+                i = int(rng.choice(np.flatnonzero(~drawn)))
+                drawn[i] = True
+                coords.append(i)
+        if skipped and not accepted:
+            raise AssertionError(
+                f"gradient mismatch unresolved: all {skipped} probes of tensor shape "
+                f"{t.shape} straddle a kink, so none measures a derivative")
     return worst

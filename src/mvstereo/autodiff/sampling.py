@@ -1,10 +1,12 @@
 """Bilinear grid sampling, deformable convolution, and 2x linear upsampling.
 
-grid_sample_2d is the workhorse behind homography warping: it is
-differentiable w.r.t. both the sampled image and the sampling coordinates.
-Out-of-bounds samples contribute exact zeros and are reported through a
-validity mask instead of being clamped, so border pixels cannot fake
-matches downstream.
+grid_sample_2d is differentiable w.r.t. both the sampled image and the
+sampling coordinates. It is the reference that the fused samplers below
+are tested against, and the one op that differentiates a grid, such as a
+warp along depths that require grad; the plane sweep itself samples its
+constant grids with sampled_correlation. Out-of-bounds samples contribute
+exact zeros and are reported through a validity mask instead of being
+clamped, so border pixels cannot fake matches downstream.
 
 Both samplers work in cache-sized blocks of at most ``_BLOCK_ENTRIES``
 sampled values (channels x samples), built from shared pieces: ``_corners``

@@ -357,6 +357,9 @@ class Tape:
                         pending[key] = g
                 else:
                     edge.accumulate_grad(np.asarray(g, dtype=edge.dtype))
+            # Routed: a gradient copied into a leaf's .grad or summed into a
+            # new pending array dies now, not when the next rule returns.
+            grads = g = None
 
 
 def make_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],

@@ -249,15 +249,15 @@ def refine_hypotheses(prev_depth: np.ndarray, count: int, decay: float,
 
 
 def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
-                    src_intr: Intrinsics, src_extr: Extrinsics) -> tuple[Tensor, np.ndarray]:
+                    src_intr: Intrinsics, src_extr: Extrinsics) -> Tensor:
     """Per-hypothesis sampling grid into a source view.
 
     ``depth`` holds (D, H, W) depth planes, an array or a tensor; the grid
-    is differentiable w.r.t. a tensor's depths. Returns a (D, H, W, 2)
-    grid of source-pixel coordinates suitable for grid_sample_2d, plus a
-    (D, H, W) bool mask that is False where the back-projected point falls
-    behind the source camera (those grid entries are pushed far out of
-    bounds so sampling also masks them).
+    is differentiable w.r.t. a tensor's depths. Returns the (D, H, W, 2)
+    grid of source-pixel coordinates that grid_sample_2d and
+    sampled_correlation read. Where the back-projected point falls behind
+    the source camera, both coordinates are ``-2 * max(H, W)``, out of
+    bounds, so the sampler's validity mask is False there.
     """
     depth = ad.as_tensor(depth)
     if depth.ndim != 3:
@@ -278,16 +278,14 @@ def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
     qy = ay * depth + ty
     qz = az * depth + tz
 
-    in_front = (qz.data > BEHIND_EPS)
-    m = ad.tensor(in_front.astype(dt))
+    m = ad.tensor((qz.data > BEHIND_EPS).astype(dt))  # 1 in front of the source camera
     qz_safe = qz * m + (1.0 - m)           # 1 where invalid, keeps division finite
     u = (qx / qz_safe) * src_intr.fx + src_intr.cx
     v = (qy / qz_safe) * src_intr.fy + src_intr.cy
     far = -2.0 * max(height, width)
     u = u * m + far * (1.0 - m)
     v = v * m + far * (1.0 - m)
-    grid = ad.stack([u, v], axis=-1)
-    return grid, in_front
+    return ad.stack([u, v], axis=-1)
 
 
 # -- camera text format -------------------------------------------------------

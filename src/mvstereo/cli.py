@@ -100,12 +100,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_scene_dirs(root: Path):
+def _load_scene_dirs(root: Path, one_range: bool):
+    """The views of each ``scene_*`` directory under ``root`` (or of
+    ``root`` itself) and the first scene's manifest. With ``one_range``
+    every manifest must carry the first one's depth range, which the one
+    model sweeps for all of them."""
+    from .autodiff import ContractError
     from .fileio import load_scene
     dirs = sorted(p for p in root.glob("scene_*") if p.is_dir())
     if not dirs:
         dirs = [root]
     loaded = [load_scene(d) for d in dirs]
+    ranges = [[float(m["d_min"]), float(m["d_max"])] for _, m in loaded]
+    for d, r in zip(dirs, ranges):
+        if one_range and r != ranges[0]:
+            raise ContractError(
+                f"{d / 'manifest.txt'}: depth range {r} does not match "
+                f"{dirs[0] / 'manifest.txt'}'s {ranges[0]}; pin [cascade] d_min and "
+                f"d_max to train over both")
     return [views for views, _ in loaded], loaded[0][1]
 
 
@@ -128,7 +140,8 @@ def cmd_train(args) -> int:
 
     cfg = _load_config(args.config)
     ad.set_default_dtype(np.float32)
-    scene_views, manifest = _load_scene_dirs(Path(args.scenes))
+    scene_views, manifest = _load_scene_dirs(Path(args.scenes),
+                                             one_range=not cfg.cascade_range_explicit)
     scenes = [SyntheticScene(spec=cfg.scene, seed=args.seed, views=v, surface={})
               for v in scene_views]
     model = StereoModel(_adopt_scene_range(cfg, manifest), seed=args.seed)

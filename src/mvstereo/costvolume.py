@@ -10,9 +10,11 @@ dominate the aggregation.
 A warp is built lazily: ``warp_source_features`` returns what to sample and
 where (a ``SourceWarp``), and ``pairwise_correlation`` samples and
 correlates it in one op, ``autodiff.sampled_correlation``, so no (D, F, H',
-W') warped volume is held, by the forward or by the graph. A warp along
-depths that require grad is sampled into a volume with grid_sample_2d, the
-one op that differentiates the grid.
+W') warped volume is held, by the forward or by the graph. The cascade
+sweeps constant depth planes, and the sampler's validity mask is the only
+mask: ``build_warp_grid`` moves a point behind the source camera out of
+bounds. Differentiable depths chain ``build_warp_grid``,
+``autodiff.grid_sample_2d`` and the volume form of ``pairwise_correlation``.
 """
 
 from __future__ import annotations
@@ -32,19 +34,11 @@ _MASK_FILL = 1e9  # pushed below every real correlation before the saliency max
 
 
 class SourceWarp(NamedTuple):
-    """A source feature map (F, H, W), the (D, H', W', 2) grid of its pixel
-    coordinates that every depth plane samples, and the (D, H', W') mask of
-    samples in front of the source camera."""
+    """A source feature map (F, H, W) and the (D, H', W', 2) grid of its
+    pixel coordinates that every depth plane samples."""
 
     source: Tensor
     grid: Tensor
-    in_front: np.ndarray
-
-    def sample(self) -> tuple[Tensor, np.ndarray]:
-        """The warped features (D, F, H', W') and their validity (D, H', W'):
-        False where the warp leaves the source image or lands behind it."""
-        warped, inside = ad.grid_sample_2d(self.source, self.grid)
-        return warped, self.in_front & inside
 
 
 def warp_source_features(src_feat: Tensor, depth,
@@ -52,29 +46,26 @@ def warp_source_features(src_feat: Tensor, depth,
                          src_intr: Intrinsics, src_extr: Extrinsics) -> SourceWarp:
     """Where a source feature map is sampled at every depth plane.
 
-    ``depth`` holds (D, H', W') depth planes, an array or a tensor
-    (differentiable). Only the grid is built here; ``SourceWarp.sample``
-    or ``pairwise_correlation`` samples it.
+    ``depth`` holds constant (D, H', W') depth planes. Only the grid is
+    built here; ``pairwise_correlation`` samples it.
     """
-    grid, in_front = build_warp_grid(depth, ref_intr, ref_extr, src_intr, src_extr)
-    return SourceWarp(ad.as_tensor(src_feat), grid, in_front)
+    return SourceWarp(ad.as_tensor(src_feat),
+                      build_warp_grid(depth, ref_intr, ref_extr, src_intr, src_extr))
 
 
 def pairwise_correlation(ref_feat: Tensor, warped: Tensor | SourceWarp,
                          mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Inner product over channels: c at (p, d) = <F0(p), warped(d, p)>.
 
-    ``ref_feat`` is (F, H', W'). ``warped`` is a ``SourceWarp``, sampled
-    here, or a warped volume (D, F, H', W') with its (D, H', W') validity
-    ``mask``. Returns the (H', W', D) volume and its validity mask; masked
-    entries are exact zeros.
+    ``ref_feat`` is (F, H', W'). ``warped`` is a ``SourceWarp`` over a
+    constant grid, sampled here (a grid that requires grad is a
+    ``ContractError``), or a warped volume (D, F, H', W') with its
+    (D, H', W') validity ``mask``. Returns the (H', W', D) volume and its
+    validity mask; masked entries are exact zeros.
     """
-    if isinstance(warped, SourceWarp) and not warped.grid.requires_grad:
-        corr, inside = ad.sampled_correlation(ref_feat, warped.source, warped.grid)
-        mask = warped.in_front & inside
+    if isinstance(warped, SourceWarp):
+        corr, mask = ad.sampled_correlation(ref_feat, warped.source, warped.grid)
     else:
-        if isinstance(warped, SourceWarp):
-            warped, mask = warped.sample()
         if ref_feat.ndim != 3 or warped.ndim != 4 or ref_feat.shape[0] != warped.shape[1]:
             raise DimensionError(
                 f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")

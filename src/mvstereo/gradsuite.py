@@ -75,7 +75,7 @@ def check_grid_sample(rng) -> float:
 
 def check_elementwise(rng) -> float:
     # elu and relu away from their kink; softmax, layer_norm, max, and
-    # exp/log on safe ranges.
+    # exp/log on safe ranges; concat and getitem.
     x = ad.tensor(rng.uniform(0.2, 2.0, size=(3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5)),
                   requires_grad=True)
     c = _coef(rng, (3, 5))
@@ -96,7 +96,14 @@ def check_elementwise(rng) -> float:
     worst = max(worst, gradcheck(
         lambda z: ad.mean(ad.exp(z * 0.3)) + ad.sum_(ad.log(z * z + 1.0)), [z],
         max_entries=8, rng=rng))
-    return worst
+    # concat of getitem's two paths: a basic slice, and an index array that
+    # repeats a row (its gradient accumulates).
+    w = _t(rng, (4, 3))
+    cw = _coef(rng, (5, 3))
+    rows = np.array([0, 2, 2])
+    return max(worst, gradcheck(
+        lambda y, w: ad.sum_(ad.concat([y[1:3, ::2], w[rows]], axis=0) * cw), [y, w],
+        max_entries=8, rng=rng))
 
 
 def check_upsample(rng) -> float:
@@ -137,10 +144,8 @@ def check_warp_grid(rng) -> float:
     src_r = Extrinsics(np.eye(3), np.array([0.2, 0.05, 0.0]))
     depth = ad.tensor(rng.uniform(1.4, 2.6, size=(2, 4, 5)), requires_grad=True)
     c = _coef(rng, (2, 4, 5, 2))
-    def f(d):
-        grid, _ = build_warp_grid(d, intr, ref, intr, src_r)
-        return ad.sum_(grid * c)
-    return gradcheck(f, [depth], max_entries=8, rng=rng)
+    return gradcheck(lambda d: ad.sum_(build_warp_grid(d, intr, ref, intr, src_r) * c),
+                     [depth], max_entries=8, rng=rng)
 
 
 def check_focal_loss(rng) -> float:

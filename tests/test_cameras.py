@@ -125,12 +125,11 @@ class TestWarpGrid:
     def test_identity_pair_is_integer_lattice(self, f64):
         intr = _simple_intr()
         hyps = sample_hypotheses_initial(1.0, 3.0, 4)
-        grid, in_front = build_warp_grid(hyps.planes(6, 8), intr, IDENTITY, intr, IDENTITY)
+        grid = build_warp_grid(hyps.planes(6, 8), intr, IDENTITY, intr, IDENTITY)
         ys, xs = np.meshgrid(np.arange(6.0), np.arange(8.0), indexing="ij")
         for d in range(4):
             np.testing.assert_allclose(grid.data[d, ..., 0], xs, atol=1e-9)
             np.testing.assert_allclose(grid.data[d, ..., 1], ys, atol=1e-9)
-        assert in_front.all()
 
     def test_differentiable_wrt_depth(self, f64, rng):
         intr = Intrinsics(8.0, 8.0, 2.5, 2.0)
@@ -138,17 +137,22 @@ class TestWarpGrid:
         depth = ad.tensor(rng.uniform(1.2, 2.8, size=(3, 4, 5)), requires_grad=True)
         c = ad.tensor(rng.standard_normal((3, 4, 5, 2)))
         def f(d):
-            grid, _ = build_warp_grid(d, intr, IDENTITY, intr, src)
-            return ad.sum_(grid * c)
+            return ad.sum_(build_warp_grid(d, intr, IDENTITY, intr, src) * c)
         assert ad.gradcheck(f, [depth], max_entries=20) < 1e-4
 
     def test_behind_camera_masked_not_raised(self):
+        """Points behind the source camera are moved out of bounds, so the
+        sampler masks them; points in front keep their projection."""
         intr = _simple_intr()
         src = Extrinsics(np.eye(3), np.array([0.0, 0.0, -4.0]))
         hyps = sample_hypotheses_initial(1.0, 6.0, 4)  # depths 1 and ~2.7 behind src
-        grid, in_front = build_warp_grid(hyps.planes(4, 4), intr, IDENTITY, intr, src)
-        assert not in_front[0].any()
-        assert in_front[-1].all()
+        grid = build_warp_grid(hyps.planes(4, 4), intr, IDENTITY, intr, src)
+        np.testing.assert_array_equal(grid.data[:2], -8.0)
+        _, inside = ad.grid_sample_2d(ad.tensor(np.ones((1, 40, 40))), grid)
+        assert not inside[:2].any()
+        ys, xs = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
+        np.testing.assert_allclose(grid.data[-1, ..., 0], 3.0 * (xs - 20.0) + 20.0, rtol=1e-6)
+        np.testing.assert_allclose(grid.data[-1, ..., 1], 3.0 * (ys - 15.0) + 15.0, rtol=1e-6)
 
 
 class TestHypotheses:

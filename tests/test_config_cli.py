@@ -598,6 +598,38 @@ class TestCliPipeline:
         assert named in result.stderr
         assert not (tmp_path / "pred").exists()
 
+    def test_train_over_two_depth_ranges_needs_a_pinned_range(self, small_scene_dir,
+                                                              tmp_path, capsys):
+        """One model sweeps one range: scenes taking theirs from disk must
+        agree, and a config that pins ``[cascade]`` d_min/d_max trains over both."""
+        import shutil
+        from mvstereo import cli
+        scenes = tmp_path / "scenes"
+        shutil.copytree(small_scene_dir / "scenes" / "scene_0000", scenes / "scene_0000")
+        small = "[scene]\nheight = 16\nwidth = 16\nfocal = 18.0\n"
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(small + "d_min = 1.0\nd_max = 5.0\n")
+        assert cli.main(["synth", "--out", str(tmp_path / "wide"), "--config", str(wide)]) == 0
+        shutil.move(tmp_path / "wide" / "scene_0000", scenes / "scene_0001")
+        capsys.readouterr()
+
+        def train(cascade: str, out):
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(small + "[model]\nn_blocks = 1\nn_heads = 2\n[train]\nsteps = 1\n"
+                           "[cascade]\ncounts = 8, 6, 4\n" + cascade)
+            code = cli.main(["train", "--scenes", str(scenes), "--out", str(out),
+                             "--config", str(cfg)])
+            return code, capsys.readouterr()
+
+        code, captured = train("", tmp_path / "from_disk")
+        assert code == 1 and captured.out == "" and not (tmp_path / "from_disk").exists()
+        assert captured.err.splitlines() == [
+            f"error: {scenes / 'scene_0001' / 'manifest.txt'}: depth range [1.0, 5.0] "
+            f"does not match {scenes / 'scene_0000' / 'manifest.txt'}'s [1.2, 3.3]; "
+            f"pin [cascade] d_min and d_max to train over both"]
+        code, _ = train("d_min = 1.0\nd_max = 5.0\n", tmp_path / "pinned")
+        assert code == 0 and (tmp_path / "pinned" / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("command, kind", [("fuse", "depth"), ("fuse", "conf"),
                                                ("eval", "depth")])

@@ -5,7 +5,12 @@ import pytest
 
 from mvstereo import autodiff as ad
 from mvstereo.autodiff import ContractError
-from mvstereo.cameras import Extrinsics, Intrinsics, sample_hypotheses_initial
+from mvstereo.cameras import (
+    Extrinsics,
+    Intrinsics,
+    build_warp_grid,
+    sample_hypotheses_initial,
+)
 from mvstereo.costvolume import (
     aggregate_correlation,
     pairwise_correlation,
@@ -123,11 +128,12 @@ class TestSampledCorrelation:
 class TestCorrelationOfAWarp:
     """pairwise_correlation samples a SourceWarp itself."""
 
+    INTR = Intrinsics(20.0, 20.0, 4.5, 3.5)
+    REF = Extrinsics(np.eye(3), np.zeros(3))
+    SRC = Extrinsics(np.eye(3), np.array([0.3, -0.1, 0.05]))
+
     def warp(self, feat, depth):
-        intr = Intrinsics(20.0, 20.0, 4.5, 3.5)
-        src_pose = Extrinsics(np.eye(3), np.array([0.3, -0.1, 0.05]))
-        return warp_source_features(feat, depth, intr, Extrinsics(np.eye(3), np.zeros(3)),
-                                    intr, src_pose)
+        return warp_source_features(feat, depth, self.INTR, self.REF, self.INTR, self.SRC)
 
     def test_equals_the_correlation_of_its_sampled_volume(self, f32, rng):
         feat = ad.tensor(rng.standard_normal((6, 8, 10)), requires_grad=True)
@@ -137,7 +143,7 @@ class TestCorrelationOfAWarp:
         ad.sum_(got).backward()
         grads = ref.grad, warp.source.grad
         ref.zero_grad(), warp.source.zero_grad()
-        want, want_mask = pairwise_correlation(ref, *warp.sample())
+        want, want_mask = pairwise_correlation(ref, *ad.grid_sample_2d(warp.source, warp.grid))
         ad.sum_(want).backward()
         assert not mask.all() and mask.any()
         np.testing.assert_array_equal(mask, want_mask)
@@ -146,17 +152,58 @@ class TestCorrelationOfAWarp:
                    for a, b in zip(grads, (ref.grad, warp.source.grad)))
 
     def test_differentiable_depth_is_sampled(self, f64, rng):
-        """A grid that requires grad goes through grid_sample_2d, so the
-        depth gets its gradient."""
+        """Differentiable depths chain build_warp_grid, grid_sample_2d and
+        the volume form of pairwise_correlation, so the depth gets its
+        gradient."""
         depth = ad.tensor(sample_hypotheses_initial(1.0, 2.0, 3).planes(8, 10),
                           requires_grad=True)
         ref, feat = (ad.tensor(rng.standard_normal((6, 8, 10))) for _ in range(2))
         c = ad.tensor(rng.standard_normal((8, 10, 3)))
-        worst = ad.gradcheck(
-            lambda d: ad.sum_(pairwise_correlation(ref, self.warp(feat, d))[0] * c),
-            [depth], max_entries=12)
+
+        def f(d):
+            grid = build_warp_grid(d, self.INTR, self.REF, self.INTR, self.SRC)
+            return ad.sum_(pairwise_correlation(ref, *ad.grid_sample_2d(feat, grid))[0] * c)
+        worst = ad.gradcheck(f, [depth], max_entries=12)
         assert worst < 1e-4
         assert np.any(depth.grad)
+
+    def test_depth_requiring_grad_rejected(self, f64, rng):
+        depth = ad.tensor(sample_hypotheses_initial(1.0, 2.0, 3).planes(8, 10),
+                          requires_grad=True)
+        warp = self.warp(ad.tensor(rng.standard_normal((6, 8, 10))), depth)
+        with pytest.raises(ContractError, match="constant grid"):
+            pairwise_correlation(ad.tensor(rng.standard_normal((6, 8, 10))), warp)
+
+    def test_behind_the_source_camera_is_invalid(self, f64):
+        """Over random poses, every sample whose point lies behind the
+        source camera is masked: the sampler's mask is the only one."""
+        rng = np.random.default_rng(2024)
+        feat = ad.tensor(rng.standard_normal((4, 8, 10)))
+        ys, xs = np.mgrid[0:8, 0:10]
+        rays = np.stack([(xs - self.INTR.cx) / self.INTR.fx,
+                         (ys - self.INTR.cy) / self.INTR.fy, np.ones((8, 10))], axis=-1)
+        behind_seen = valid_seen = 0
+        for _ in range(12):
+            # Rodrigues: up to 0.5 rad about a random axis, the source up to
+            # 3 units in front of or 0.5 behind the reference.
+            ax = rng.standard_normal(3)
+            ax /= np.linalg.norm(ax)
+            k = np.array([[0.0, -ax[2], ax[1]], [ax[2], 0.0, -ax[0]], [-ax[1], ax[0], 0.0]])
+            angle = rng.uniform(0.0, 0.5)
+            rotation = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+            src = Extrinsics(rotation, np.append(rng.uniform(-0.3, 0.3, 2),
+                                                 rng.uniform(-3.0, 0.5)))
+            depth = rng.uniform(0.5, 4.0, (5, 8, 10))
+            # The reference camera is the world frame: a pixel's point is its
+            # ray times the depth, and its source-camera z is row 2 of [R | t].
+            behind = (rays * depth[..., None]) @ rotation[2] + src.translation[2] <= 0
+            _, mask = pairwise_correlation(feat, warp_source_features(
+                feat, depth, self.INTR, self.REF, self.INTR, src))
+            mask = np.moveaxis(mask, -1, 0)
+            assert not mask[behind].any()
+            behind_seen += int(behind.sum())
+            valid_seen += int(mask.sum())
+        assert behind_seen > 1000 and valid_seen > 500
 
 
 def aggregate_per_source(volumes, masks):
@@ -244,8 +291,8 @@ class TestWarpedFeatures:
         pose = Extrinsics(np.eye(3), np.zeros(3))
         feat = ad.tensor(rng.standard_normal((6, 8, 10)))
         hyps = sample_hypotheses_initial(1.0, 2.0, 3)
-        warped, mask = warp_source_features(
-            feat, hyps.planes(8, 10), intr, pose, intr, pose).sample()
+        warp = warp_source_features(feat, hyps.planes(8, 10), intr, pose, intr, pose)
+        warped, mask = ad.grid_sample_2d(warp.source, warp.grid)
         assert warped.shape == (3, 6, 8, 10)
         assert mask.all()
         for d in range(3):
@@ -262,10 +309,10 @@ class TestWarpedFeatures:
         ref, src = scene.views[0], scene.views[1]
         d0 = float(ref.depth[32, 40])
         hyps = sample_hypotheses_initial(d0 - 0.4, d0 + 0.4, 17)  # center = GT
-        warped, mask = warp_source_features(
+        warp = warp_source_features(
             ad.tensor(src.image), hyps.planes(ref.height, ref.width),
-            ref.intrinsics, ref.extrinsics,
-            src.intrinsics, src.extrinsics).sample()
+            ref.intrinsics, ref.extrinsics, src.intrinsics, src.extrinsics)
+        warped, mask = ad.grid_sample_2d(warp.source, warp.grid)
         cov = covisible_mask(scene, 0, 1) & mask[8]
         at_gt = np.abs(warped.data[8] - ref.image)[:, cov].mean()
         off_gt = np.abs(warped.data[0] - ref.image)[:, cov].mean()

@@ -40,14 +40,13 @@ class TestRegularizer:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_unet_takes_fewer_than_four_hypotheses(self, f64, rng, d):
         """Depth extents that cannot survive two halvings keep their shape
-        and their gradients. Pooled probes redraw a point whose +-h interval
+        and their gradients. The check redraws a probe whose +-h interval
         straddles a ReLU kink (D = 2 here has one within 1e-5 of index 0)."""
         reg = VolumeRegularizer(rng)
         vol = ad.tensor(rng.random((5, 6, d)), requires_grad=True)
         assert reg(vol).shape == (5, 6, d)
         c = ad.tensor(rng.standard_normal((5, 6, d)))
-        worst = ad.gradcheck(
-            lambda v: ad.sum_(reg(v) * c), [vol], max_entries=8, pooled=True)
+        worst = ad.gradcheck(lambda v: ad.sum_(reg(v) * c), [vol], max_entries=8)
         assert worst < 1e-4
 
 

@@ -280,6 +280,29 @@ class TestEdges:
         np.testing.assert_allclose(x.grad, 4.0 * np.maximum(2.0 * x.data - 0.5, 0.0),
                                    rtol=1e-12)
 
+    def test_routed_gradient_dies_before_the_next_rule(self, f64, rng):
+        """A leaf's gradient is copied into .grad, so the array a rule
+        returned for it is dead by the time the next node's rule runs."""
+        x, y = (ad.tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2))
+        routed, alive_at_next_rule = [], []
+
+        def probe_rule(g):
+            alive_at_next_rule.append(routed[0]() is not None)
+            return (g,)
+
+        def pair_rule(g):
+            leaf_grad = np.full(3, 2.0)
+            routed.append(weakref.ref(leaf_grad))
+            return g, leaf_grad  # the leaf's gradient last, as the loop's final g
+
+        a = make_op("probe", y.data.copy(), [y], probe_rule)
+        loss = make_op("pair", np.array(float(a.data.sum() + 2.0 * x.data.sum())),
+                       [a, x], lambda g: pair_rule(g * np.ones(3)))
+        loss.backward()
+        assert alive_at_next_rule == [False]
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+
 
 class TestTape:
     def test_topological_order(self, f64, rng):
@@ -406,7 +429,7 @@ class TestGradcheck:
             return ad.max_with_argmax(k, axis=0)[0] + ad.sum_(s * s)
 
         with pytest.raises(AssertionError, match="gradient mismatch"):
-            ad.gradcheck(f, [kinked, smooth])  # per tensor, the kink is a mismatch
+            ad.gradcheck(f, [kinked, smooth])  # exhaustive, no smooth probe of kinked
         calls.clear()
         assert ad.gradcheck(f, [kinked, smooth], max_entries=6, pooled=True) < 1e-4
         # One evaluation for the gradient, then four per probe drawn.
@@ -415,6 +438,26 @@ class TestGradcheck:
             ad.gradcheck(lambda k: ad.max_with_argmax(k, axis=0)[0], [kinked],
                          max_entries=2, pooled=True)
 
+
+    def test_per_tensor_probe_across_a_relu_kink_is_redrawn(self, f64):
+        # The first four entries sit 3e-6 past relu's kink, within h = 1e-5:
+        # their +-h quotient reads 0.65 where the derivative is 1.
+        x = ad.tensor(np.r_[np.full(4, 3e-6), np.linspace(0.5, 1.5, 8)], requires_grad=True)
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return ad.sum_(ad.relu(x))
+
+        for max_entries in (6, None):
+            calls.clear()
+            assert ad.gradcheck(f, [x], max_entries=max_entries) < 1e-4
+            # One evaluation for the gradient, then four per probe.
+            probes = (len(calls) - 1) // 4
+            assert probes == 12 if max_entries is None else probes > 6
+        with pytest.raises(AssertionError, match="all 3 probes .* straddle a kink"):
+            ad.gradcheck(lambda k: ad.sum_(ad.relu(k)),
+                         [ad.tensor(np.full(3, 3e-6), requires_grad=True)], max_entries=None)
 
 class TestPrecisionAndChecks:
     def test_global_dtype_switch(self):
