@@ -35,7 +35,9 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     straddles a kink (a ReLU's, an argmax flip) measures the jump, not a
     derivative. So every probe also differences at h/2 and is skipped when
     the two estimates disagree by more than ``rtol`` under the error measure
-    the check applies (a smooth point agrees to O(h^2)). A skipped
+    the check applies (a smooth point agrees to O(h^2)), or when a probe
+    that would fail has right and left slopes that disagree (a kink at x
+    itself fools the h/2 test). A skipped
     random probe is replaced by a new draw: any tensor in pooled mode, an
     unprobed index of the same tensor otherwise. An exhaustive tensor
     cannot redraw, and one left with no smooth probe fails the check.
@@ -55,8 +57,8 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     assert all(t.grad is not None for t in probed), "requires-grad input received no gradient"
 
     def central(t, i, step):
-        """The forward values do not depend on grad mode, so the probes
-        record no tape."""
+        """f(x + step) and f(x - step) at flat index ``i``. The forward
+        values do not depend on grad mode, so the probes record no tape."""
         flat = t.data.reshape(-1)
         orig = flat[i]
         with no_grad():
@@ -65,23 +67,28 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
             flat[i] = orig - step
             f_minus = fn(*inputs).item()
         flat[i] = orig
-        return (f_plus - f_minus) / (2.0 * step)
+        return f_plus, f_minus
 
     worst = 0.0
 
     def smooth_probe(t, i) -> bool:
         """Check the probe and return True, or return False at a kink."""
         nonlocal worst
-        numeric = central(t, i, h)
-        if max_relative_error(np.asarray(numeric), np.asarray(central(t, i, h / 2))) > rtol:
+        far, near = central(t, i, h), central(t, i, h / 2)
+        numeric = (far[0] - far[1]) / (2.0 * h)
+        if max_relative_error(numeric, (near[0] - near[1]) / h) > rtol:
             return False
         analytic = float(t.grad.reshape(-1)[i])
-        err = max_relative_error(np.asarray(analytic), np.asarray(numeric))
-        worst = max(worst, err)
+        err = max_relative_error(analytic, numeric)
         if err > rtol:
+            # At a kink at x both quotients read its midpoint; the slopes differ.
+            right, left = (far[0] - near[0]) / (h / 2), (near[1] - far[1]) / (h / 2)
+            if max_relative_error(right, left) > rtol:
+                return False
             raise AssertionError(
                 f"gradient mismatch at flat index {i} of tensor shape {t.shape}: "
                 f"analytic={analytic:.8g} numeric={numeric:.8g} rel_err={err:.3g}")
+        worst = max(worst, err)
         return True
 
     if pooled:

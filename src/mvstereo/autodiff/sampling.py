@@ -2,8 +2,8 @@
 
 grid_sample_2d is differentiable w.r.t. both the sampled image and the
 sampling coordinates. It is the reference that the fused samplers below
-are tested against, and the one op that differentiates a grid, such as a
-warp along depths that require grad; the plane sweep itself samples its
+are tested against: deformable_conv2d's offset gradient and
+sampled_correlation's values and gradients. The plane sweep samples its
 constant grids with sampled_correlation. Out-of-bounds samples contribute
 exact zeros and are reported through a validity mask instead of being
 clamped, so border pixels cannot fake matches downstream.

@@ -5,6 +5,9 @@ lattice; extrinsics map world to camera coordinates (Xc = R @ Xw + t);
 depth is the camera-frame z of a point. Warping a reference pixel p at
 depth d into a source view back-projects p, applies the relative pose, and
 projects: p_hat = K @ (R_rel @ (K0^-1 p d) + t_rel).
+
+Everything here is plain numpy: the cascade's depth planes are constants,
+so its warp grids are never differentiated.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ContractError, DimensionError, Tensor
+from .autodiff import ContractError, DimensionError
 
 __all__ = [
     "Intrinsics", "Extrinsics", "CameraView", "DepthHypotheses",
@@ -248,21 +250,20 @@ def refine_hypotheses(prev_depth: np.ndarray, count: int, decay: float,
     return DepthHypotheses(vals, interval)
 
 
-def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
-                    src_intr: Intrinsics, src_extr: Extrinsics) -> Tensor:
+def build_warp_grid(planes: np.ndarray, ref_intr: Intrinsics, ref_extr: Extrinsics,
+                    src_intr: Intrinsics, src_extr: Extrinsics) -> np.ndarray:
     """Per-hypothesis sampling grid into a source view.
 
-    ``depth`` holds (D, H, W) depth planes, an array or a tensor; the grid
-    is differentiable w.r.t. a tensor's depths. Returns the (D, H, W, 2)
-    grid of source-pixel coordinates that grid_sample_2d and
-    sampled_correlation read. Where the back-projected point falls behind
-    the source camera, both coordinates are ``-2 * max(H, W)``, out of
-    bounds, so the sampler's validity mask is False there.
+    ``planes`` holds constant (D, H, W) depth planes. Returns the
+    (D, H, W, 2) grid of source-pixel coordinates, in the planes' dtype,
+    that sampled_correlation and grid_sample_2d read. Where the
+    back-projected point falls behind the source camera, both coordinates
+    are ``-2 * max(H, W)``, out of bounds, so the sampler's validity mask
+    is False there.
     """
-    depth = ad.as_tensor(depth)
-    if depth.ndim != 3:
-        raise DimensionError(f"depth planes must be (D,H,W), got {depth.shape}")
-    _, height, width = depth.shape
+    if planes.ndim != 3:
+        raise DimensionError(f"depth planes must be (D,H,W), got {planes.shape}")
+    _, height, width = planes.shape
 
     r_rel, t_rel = relative_pose(ref_extr, src_extr)
     xs, ys = np.moveaxis(pixel_grid(height, width), -1, 0)
@@ -271,21 +272,16 @@ def build_warp_grid(depth, ref_intr: Intrinsics, ref_extr: Extrinsics,
                      np.ones_like(xs)])                      # (3, H, W)
     a = np.einsum("ij,jhw->ihw", r_rel, rays)                # rotated ray dirs
 
-    dt = depth.dtype
-    ax, ay, az = (ad.tensor(a[i].astype(dt)) for i in range(3))
-    tx, ty, tz = (float(t_rel[i]) for i in range(3))
-    qx = ax * depth + tx
-    qy = ay * depth + ty
-    qz = az * depth + tz
-
-    m = ad.tensor((qz.data > BEHIND_EPS).astype(dt))  # 1 in front of the source camera
-    qz_safe = qz * m + (1.0 - m)           # 1 where invalid, keeps division finite
-    u = (qx / qz_safe) * src_intr.fx + src_intr.cx
-    v = (qy / qz_safe) * src_intr.fy + src_intr.cy
-    far = -2.0 * max(height, width)
-    u = u * m + far * (1.0 - m)
-    v = v * m + far * (1.0 - m)
-    return ad.stack([u, v], axis=-1)
+    # Every factor in the planes' dtype, so float32 planes give a float32 grid.
+    cast = planes.dtype.type
+    qx, qy, qz = (a_i * planes + t_i for a_i, t_i in
+                  zip(a.astype(planes.dtype), t_rel.astype(planes.dtype)))
+    front = qz > BEHIND_EPS                                  # in front of the source camera
+    qz = np.where(front, qz, cast(1.0))                      # keeps division finite
+    far = cast(-2.0 * max(height, width))
+    u = np.where(front, (qx / qz) * cast(src_intr.fx) + cast(src_intr.cx), far)
+    v = np.where(front, (qy / qz) * cast(src_intr.fy) + cast(src_intr.cy), far)
+    return np.stack([u, v], axis=-1)
 
 
 # -- camera text format -------------------------------------------------------

@@ -102,19 +102,22 @@ _RANGE_KEYS = ("d_min", "d_max")
 
 
 def load_config(path=None, text: str | None = None) -> RunConfig:
-    """Parse and validate a config file; defaults fill whatever is absent."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep keys case-sensitive
+    """Parse and validate a config file, or ``text``; defaults fill whatever
+    is absent. An error in a file names the file."""
     if text is None:
         if path is None:
             return RunConfig()
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            return load_config(text=path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is read as itself
+    parser.optionxform = str  # keep keys case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:

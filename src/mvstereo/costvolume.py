@@ -11,10 +11,10 @@ A warp is built lazily: ``warp_source_features`` returns what to sample and
 where (a ``SourceWarp``), and ``pairwise_correlation`` samples and
 correlates it in one op, ``autodiff.sampled_correlation``, so no (D, F, H',
 W') warped volume is held, by the forward or by the graph. The cascade
-sweeps constant depth planes, and the sampler's validity mask is the only
+sweeps constant depth planes, so the grid is a plain array and only the
+features are differentiated. The sampler's validity mask is the only
 mask: ``build_warp_grid`` moves a point behind the source camera out of
-bounds. Differentiable depths chain ``build_warp_grid``,
-``autodiff.grid_sample_2d`` and the volume form of ``pairwise_correlation``.
+bounds.
 """
 
 from __future__ import annotations
@@ -38,30 +38,29 @@ class SourceWarp(NamedTuple):
     pixel coordinates that every depth plane samples."""
 
     source: Tensor
-    grid: Tensor
+    grid: np.ndarray
 
 
-def warp_source_features(src_feat: Tensor, depth,
+def warp_source_features(src_feat: Tensor, planes: np.ndarray,
                          ref_intr: Intrinsics, ref_extr: Extrinsics,
                          src_intr: Intrinsics, src_extr: Extrinsics) -> SourceWarp:
     """Where a source feature map is sampled at every depth plane.
 
-    ``depth`` holds constant (D, H', W') depth planes. Only the grid is
-    built here; ``pairwise_correlation`` samples it.
+    ``planes`` holds constant (D, H', W') depth planes. Only the grid is
+    built here, in the planes' dtype; ``pairwise_correlation`` samples it.
     """
     return SourceWarp(ad.as_tensor(src_feat),
-                      build_warp_grid(depth, ref_intr, ref_extr, src_intr, src_extr))
+                      build_warp_grid(planes, ref_intr, ref_extr, src_intr, src_extr))
 
 
 def pairwise_correlation(ref_feat: Tensor, warped: Tensor | SourceWarp,
                          mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Inner product over channels: c at (p, d) = <F0(p), warped(d, p)>.
 
-    ``ref_feat`` is (F, H', W'). ``warped`` is a ``SourceWarp`` over a
-    constant grid, sampled here (a grid that requires grad is a
-    ``ContractError``), or a warped volume (D, F, H', W') with its
-    (D, H', W') validity ``mask``. Returns the (H', W', D) volume and its
-    validity mask; masked entries are exact zeros.
+    ``ref_feat`` is (F, H', W'). ``warped`` is a ``SourceWarp``, sampled
+    here, or a warped volume (D, F, H', W') with its (D, H', W') validity
+    ``mask``. Returns the (H', W', D) volume and its validity mask; masked
+    entries are exact zeros.
     """
     if isinstance(warped, SourceWarp):
         corr, mask = ad.sampled_correlation(ref_feat, warped.source, warped.grid)
@@ -70,9 +69,8 @@ def pairwise_correlation(ref_feat: Tensor, warped: Tensor | SourceWarp,
             raise DimensionError(
                 f"channel mismatch: reference {ref_feat.shape} vs warped {warped.shape}")
         corr = ad.sum_(ad.reshape(ref_feat, (1,) + ref_feat.shape) * warped, axis=1)
-    corr = ad.transpose(corr, (1, 2, 0))                        # (H', W', D)
-    mask = np.ascontiguousarray(np.moveaxis(mask, 0, -1))
-    return corr * ad.tensor(mask.astype(corr.dtype)), mask
+        corr = corr * ad.tensor(mask.astype(corr.dtype))
+    return ad.transpose(corr, (1, 2, 0)), np.ascontiguousarray(np.moveaxis(mask, 0, -1))
 
 
 def aggregate_correlation(volumes: Tensor, masks: np.ndarray) -> Tensor:

@@ -127,7 +127,7 @@ def read_ply(path) -> PointCloud:
     complete = len(rows) - (not rows[-1].endswith("\n")) if rows else 0
     if complete < count:
         raise ContractError(f"{path}: truncated PLY, {complete} of {count} vertex rows")
-    malformed = f"{path}: PLY vertex rows are not 6 numbers each"
+    malformed = f"{path}: PLY vertex rows are not 6 finite numbers each"
     try:
         # loadtxt skips blank rows (warning when every row is), so all-blank
         # rows never reach it and the shape check rejects the others.
@@ -135,7 +135,7 @@ def read_ply(path) -> PointCloud:
                if any(row.strip() for row in rows) else np.zeros((0, 6)))
     except ValueError:
         raise ContractError(malformed) from None
-    if arr.shape != (count, 6):
+    if arr.shape != (count, 6) or not np.isfinite(arr).all():
         raise ContractError(malformed)
     return PointCloud(points=arr[:, :3], colors=arr[:, 3:6] / 255.0)
 
@@ -191,7 +191,8 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
     if not manifest_path.exists():
         raise ContractError(f"{directory} has no manifest.txt")
     manifest: dict = {}
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
+    # An undecodable byte spoils only its own line; a spoiled key below is named.
+    for line in manifest_path.read_text(encoding="utf-8", errors="replace").splitlines():
         if "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
             manifest[key] = value
@@ -211,14 +212,17 @@ def load_scene(directory) -> tuple[list[CameraView], dict]:
     views = []
     for i in range(numbers["n_views"]):
         image_path, depth_path = directory / f"view_{i:04d}.ppm", directory / f"depth_{i:04d}.pfm"
-        image = read_ppm(image_path)
-        depth = read_pfm(depth_path).astype(np.float64)
         cam_path = directory / f"cam_{i:04d}.txt"
-        intr, extr, info = load_camera_file(cam_path)
+        try:
+            image, depth = read_ppm(image_path), read_pfm(depth_path).astype(np.float64)
+            intr, extr, info = load_camera_file(cam_path)
+        except FileNotFoundError as exc:
+            raise ContractError(f"{manifest_path}: n_views = {numbers['n_views']}, but "
+                                f"{exc.filename} does not exist") from None
         cam_range = [info["d_min"], info.get("d_max", scene_range[1])]
         if cam_range != scene_range:
             raise ContractError(f"{cam_path}: depth range {cam_range} does not match "
-                                f"manifest.txt's {scene_range}")
+                                f"{manifest_path}'s {scene_range}")
         try:
             views.append(CameraView(intrinsics=intr, extrinsics=extr, image=image,
                                     depth=depth, mask=depth > 0))

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import gradcheck
-from .cameras import build_warp_grid
 from .features import deformable_conv2d
 from .matcher import MatchingTransformer, linear_attention
 from .model import CascadeConfig, ModelConfig, StereoModel
@@ -75,7 +74,7 @@ def check_grid_sample(rng) -> float:
 
 def check_elementwise(rng) -> float:
     # elu and relu away from their kink; softmax, layer_norm, max, and
-    # exp/log on safe ranges; concat and getitem.
+    # exp/log on safe ranges; concat and getitem; stack.
     x = ad.tensor(rng.uniform(0.2, 2.0, size=(3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5)),
                   requires_grad=True)
     c = _coef(rng, (3, 5))
@@ -101,9 +100,12 @@ def check_elementwise(rng) -> float:
     w = _t(rng, (4, 3))
     cw = _coef(rng, (5, 3))
     rows = np.array([0, 2, 2])
-    return max(worst, gradcheck(
+    worst = max(worst, gradcheck(
         lambda y, w: ad.sum_(ad.concat([y[1:3, ::2], w[rows]], axis=0) * cw), [y, w],
         max_entries=8, rng=rng))
+    cs = _coef(rng, (3, 2, 4))
+    return max(worst, gradcheck(lambda y, z: ad.sum_(ad.stack([y[:3, :4], z], axis=1) * cs),
+                                [y, z], max_entries=8, rng=rng))
 
 
 def check_upsample(rng) -> float:
@@ -135,17 +137,6 @@ def check_linear_attention(rng) -> float:
     return gradcheck(
         lambda q, k, v: ad.sum_(linear_attention(q, k, v, n_heads=2) * c),
         [q, k, v], max_entries=8, rng=rng)
-
-
-def check_warp_grid(rng) -> float:
-    from .cameras import Extrinsics, Intrinsics
-    intr = Intrinsics(8.0, 8.0, 2.0, 1.5)
-    ref = Extrinsics(np.eye(3), np.zeros(3))
-    src_r = Extrinsics(np.eye(3), np.array([0.2, 0.05, 0.0]))
-    depth = ad.tensor(rng.uniform(1.4, 2.6, size=(2, 4, 5)), requires_grad=True)
-    c = _coef(rng, (2, 4, 5, 2))
-    return gradcheck(lambda d: ad.sum_(build_warp_grid(d, intr, ref, intr, src_r) * c),
-                     [depth], max_entries=8, rng=rng)
 
 
 def check_focal_loss(rng) -> float:
@@ -209,7 +200,6 @@ GRAD_CHECKS = {
     "upsample": check_upsample,
     "deformable_conv": check_deformable_conv,
     "linear_attention": check_linear_attention,
-    "warp_grid": check_warp_grid,
     "focal_loss": check_focal_loss,
     "matcher_forward": check_matcher_forward,
     "cascade_loss": check_cascade_loss,

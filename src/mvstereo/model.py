@@ -174,10 +174,10 @@ class StereoModel(Module):
         """Saliency-aggregated correlation of every source against the reference."""
         ref_view = views[0]
         ref_intr = ref_view.intrinsics.scaled(scale)
-        depth = ad.tensor(hyps.planes(*feats[0].shape[1:]))
+        planes = hyps.planes(*feats[0].shape[1:]).astype(ad.get_default_dtype())
         # The correlation samples each warp: no warped volume is ever held.
         pairs = [pairwise_correlation(feats[0], warp_source_features(
-                     feat, depth, ref_intr, ref_view.extrinsics,
+                     feat, planes, ref_intr, ref_view.extrinsics,
                      view.intrinsics.scaled(scale), view.extrinsics))
                  for feat, view in zip(feats[1:], views[1:])]
         volumes, masks = zip(*pairs)

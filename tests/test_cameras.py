@@ -128,17 +128,18 @@ class TestWarpGrid:
         grid = build_warp_grid(hyps.planes(6, 8), intr, IDENTITY, intr, IDENTITY)
         ys, xs = np.meshgrid(np.arange(6.0), np.arange(8.0), indexing="ij")
         for d in range(4):
-            np.testing.assert_allclose(grid.data[d, ..., 0], xs, atol=1e-9)
-            np.testing.assert_allclose(grid.data[d, ..., 1], ys, atol=1e-9)
+            np.testing.assert_allclose(grid[d, ..., 0], xs, atol=1e-9)
+            np.testing.assert_allclose(grid[d, ..., 1], ys, atol=1e-9)
 
-    def test_differentiable_wrt_depth(self, f64, rng):
-        intr = Intrinsics(8.0, 8.0, 2.5, 2.0)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grid_is_an_array_in_the_planes_dtype(self, dtype):
+        intr = _simple_intr()
         src = Extrinsics(np.eye(3), np.array([0.25, -0.1, 0.02]))
-        depth = ad.tensor(rng.uniform(1.2, 2.8, size=(3, 4, 5)), requires_grad=True)
-        c = ad.tensor(rng.standard_normal((3, 4, 5, 2)))
-        def f(d):
-            return ad.sum_(build_warp_grid(d, intr, IDENTITY, intr, src) * c)
-        assert ad.gradcheck(f, [depth], max_entries=20) < 1e-4
+        planes = sample_hypotheses_initial(1.0, 3.0, 4).planes(6, 8).astype(dtype)
+        # np.float64 intrinsics, as parse_camera_text gives them, do not upcast.
+        grid = build_warp_grid(planes, intr, IDENTITY, intr.scaled(np.float64(0.5)), src)
+        assert isinstance(grid, np.ndarray)
+        assert grid.shape == (4, 6, 8, 2) and grid.dtype == dtype
 
     def test_behind_camera_masked_not_raised(self):
         """Points behind the source camera are moved out of bounds, so the
@@ -147,12 +148,12 @@ class TestWarpGrid:
         src = Extrinsics(np.eye(3), np.array([0.0, 0.0, -4.0]))
         hyps = sample_hypotheses_initial(1.0, 6.0, 4)  # depths 1 and ~2.7 behind src
         grid = build_warp_grid(hyps.planes(4, 4), intr, IDENTITY, intr, src)
-        np.testing.assert_array_equal(grid.data[:2], -8.0)
+        np.testing.assert_array_equal(grid[:2], -8.0)
         _, inside = ad.grid_sample_2d(ad.tensor(np.ones((1, 40, 40))), grid)
         assert not inside[:2].any()
         ys, xs = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-        np.testing.assert_allclose(grid.data[-1, ..., 0], 3.0 * (xs - 20.0) + 20.0, rtol=1e-6)
-        np.testing.assert_allclose(grid.data[-1, ..., 1], 3.0 * (ys - 15.0) + 15.0, rtol=1e-6)
+        np.testing.assert_allclose(grid[-1, ..., 0], 3.0 * (xs - 20.0) + 20.0, rtol=1e-6)
+        np.testing.assert_allclose(grid[-1, ..., 1], 3.0 * (ys - 15.0) + 15.0, rtol=1e-6)
 
 
 class TestHypotheses:

@@ -178,9 +178,22 @@ use_pathway = false
         settings = TrainSettings(steps=1, decay_factor=1.0, decay_steps=(0,))
         assert settings.steps == 1 and settings.decay_steps == (0,)
 
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config("/nonexistent/config.cfg")
+    def test_missing_file(self, tmp_path):
+        for where in ("/nonexistent/config.cfg", tmp_path):  # a directory is not a file
+            with pytest.raises(ConfigError, match="not found"):
+                load_config(where)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[loss]\ngamma = 5%\n", "bad value for 'loss.gamma': '5%'"),
+        ("[nonsense]\nx = 1\n", "unknown config section"),
+        ("gamma = 2\n", "config parse failure")])
+    def test_error_in_a_file_names_it(self, tmp_path, text, named):
+        """A '%' is read as itself, not as an interpolation."""
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=named) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestCliBasics:

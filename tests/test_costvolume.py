@@ -8,7 +8,6 @@ from mvstereo.autodiff import ContractError
 from mvstereo.cameras import (
     Extrinsics,
     Intrinsics,
-    build_warp_grid,
     sample_hypotheses_initial,
 )
 from mvstereo.costvolume import (
@@ -150,29 +149,6 @@ class TestCorrelationOfAWarp:
         assert got.data.tobytes() == want.data.tobytes()
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(grads, (ref.grad, warp.source.grad)))
-
-    def test_differentiable_depth_is_sampled(self, f64, rng):
-        """Differentiable depths chain build_warp_grid, grid_sample_2d and
-        the volume form of pairwise_correlation, so the depth gets its
-        gradient."""
-        depth = ad.tensor(sample_hypotheses_initial(1.0, 2.0, 3).planes(8, 10),
-                          requires_grad=True)
-        ref, feat = (ad.tensor(rng.standard_normal((6, 8, 10))) for _ in range(2))
-        c = ad.tensor(rng.standard_normal((8, 10, 3)))
-
-        def f(d):
-            grid = build_warp_grid(d, self.INTR, self.REF, self.INTR, self.SRC)
-            return ad.sum_(pairwise_correlation(ref, *ad.grid_sample_2d(feat, grid))[0] * c)
-        worst = ad.gradcheck(f, [depth], max_entries=12)
-        assert worst < 1e-4
-        assert np.any(depth.grad)
-
-    def test_depth_requiring_grad_rejected(self, f64, rng):
-        depth = ad.tensor(sample_hypotheses_initial(1.0, 2.0, 3).planes(8, 10),
-                          requires_grad=True)
-        warp = self.warp(ad.tensor(rng.standard_normal((6, 8, 10))), depth)
-        with pytest.raises(ContractError, match="constant grid"):
-            pairwise_correlation(ad.tensor(rng.standard_normal((6, 8, 10))), warp)
 
     def test_behind_the_source_camera_is_invalid(self, f64):
         """Over random poses, every sample whose point lies behind the

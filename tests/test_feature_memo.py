@@ -134,10 +134,11 @@ def test_grad_enabled_calls_bypass_the_memo(f32, views, pyramid_calls):
     before = len(pyramid_calls)
     loss, _ = cascade_loss(model(small), small[0], LossConfig())
     assert len(pyramid_calls) - before == len(small)
-    # The tape's node count without the memo: 566 = 584 - 3 * 2 * 3, since
-    # sampled_correlation is one node where grid_sample_2d, reshape, mul and
-    # sum_ were four, once per source (2) and stage (3).
-    assert len(ad.Tape.trace(loss)) == 566
+    # The tape's node count without the memo: 560 = 584 - 3 * 2 * 3 - 2 * 3,
+    # since sampled_correlation is one node where grid_sample_2d, reshape,
+    # mul and sum_ were four, and its output is not multiplied by the mask
+    # again, once per source (2) and stage (3).
+    assert len(ad.Tape.trace(loss)) == 560
     assert model._feature_memo.keys() == kept.keys()
     assert all(model._feature_memo[k] is kept[k] for k in kept)
 

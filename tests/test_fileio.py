@@ -126,6 +126,27 @@ class TestSceneDirectory:
         with pytest.raises(ContractError, match="manifest"):
             load_scene(tmp_path)
 
+    def test_view_the_manifest_counts_but_lacks_is_named(self, tmp_path):
+        save_scene(render_synthetic_scene(SceneSpec(height=16, width=16, focal=18.0), 3),
+                   tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("n_views = 3", "n_views = 4"))
+        with pytest.raises(ContractError, match=re.escape(
+                f"{manifest}: n_views = 4, but {tmp_path / 'view_0003.ppm'} does not exist")):
+            load_scene(tmp_path)
+
+    def test_byte_that_is_not_utf8_spoils_only_its_line(self, tmp_path):
+        save_scene(render_synthetic_scene(SceneSpec(height=16, width=16, focal=18.0), 3),
+                   tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        text = manifest.read_bytes()
+        manifest.write_bytes(text.replace(b"kind", b"\x92kind"))
+        assert len(load_scene(tmp_path)[0]) == 3
+        manifest.write_bytes(text.replace(b"n_views = 3", b"n_views = \x923"))
+        with pytest.raises(ContractError, match=re.escape(
+                f"{manifest}: 'n_views' is missing or not a valid int")):
+            load_scene(tmp_path)
+
     @pytest.mark.parametrize("d_min, named", [
         ("3.5", "[3.5, 3.3]"), ("0", "[0.0, 3.3]"), ("nan", "[nan, 3.3]")])
     def test_bad_manifest_range_is_named(self, tmp_path, d_min, named):
@@ -230,6 +251,7 @@ class TestTruncatedArtifacts:
             read_ply(path)
 
     @pytest.mark.parametrize("row", ["1 2 3 4 5\n", "1 2 3 4 5 6 7\n", "1 2 x 4 5 6\n",
+                                     "1 2 nan 4 5 6\n", "1 2 3 4 inf 6\n",
                                      "1 2 \u00ff 4 5 6\n", "1 2 3 4 5 6 # note\n", "\n",
                                      "   \n", "\t \n"])
     @pytest.mark.filterwarnings("error")

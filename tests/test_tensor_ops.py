@@ -459,6 +459,15 @@ class TestGradcheck:
             ad.gradcheck(lambda k: ad.sum_(ad.relu(k)),
                          [ad.tensor(np.full(3, 3e-6), requires_grad=True)], max_entries=None)
 
+    def test_probe_exactly_on_a_relu_kink_is_skipped(self, f64):
+        # At x = 0 both quotients read 0.5, so only the one-sided slopes (1
+        # right, 0 left) tell the kink from a wrong gradient.
+        assert ad.gradcheck(lambda x: ad.sum_(ad.relu(x)),
+                            [ad.tensor([0.0, 1.0], requires_grad=True)], max_entries=None) == 0.0
+        with pytest.raises(AssertionError, match="all 3 probes .* straddle a kink"):
+            ad.gradcheck(lambda k: ad.sum_(ad.relu(k)),
+                         [ad.tensor(np.zeros(3), requires_grad=True)], max_entries=None)
+
 class TestPrecisionAndChecks:
     def test_global_dtype_switch(self):
         with ad.precision("float32"):
