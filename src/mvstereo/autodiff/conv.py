@@ -6,23 +6,23 @@ al. 2006) in blocks of whole output rows. Each block's patch matrix holds
 at most ``_BLOCK_ENTRIES`` entries (one row if a row alone is larger) and
 is copied into one reused buffer, so no conv allocates the whole patch
 matrix; one that fits the budget is a single block and a single matrix
-product. Forward, kernel gradient and input gradient all walk this one
-block iterator. Padding is per block too: each block copies the input
-rows it reads into one reused zero-bordered slab, so no conv makes a
-padded copy of its whole input, and every block and patch matrix is the
-one a whole padded copy would give. An unpadded conv reads its blocks
-straight from the input, and a 1x1 one multiplies the input's columns
-with no copy at all. Forward writes ``w_mat @ cols`` into each block's
-output columns. The patch matrix is not kept for backward:
-the kernel gradient walks the input's blocks again, and only when the
-kernel requires a gradient, so the node keeps the input only then (and
-the kernel only when the input requires a gradient). There is no col2im:
-the input gradient is itself a forward conv, of the output gradient
-(padded by k-1-pad on each side, or cropped where that is negative) with
-the kernel flipped over its taps and its in and out channels swapped
-(Dumoulin & Visin 2016, sec. 4). Every conv has stride 1; the pyramid and
-the 3D U-Net subsample by slicing. An input smaller than its kernel
-(after padding) raises a DimensionError.
+product. Forward and backward each walk this one block iterator once.
+Padding is per block too: each block copies the input rows it reads into
+one reused zero-bordered slab, so no conv makes a padded copy of its
+whole input, and every block and patch matrix is the one a whole padded
+copy would give. An unpadded conv reads its blocks straight from the
+input, and a 1x1 one multiplies the input's columns with no copy at all.
+Forward writes ``w_mat @ cols`` into each block's output columns and
+keeps no patch matrix. There is no col2im: the input gradient is itself
+a forward conv, of the output gradient (padded by k-1-pad on each side,
+or cropped where that is negative) with the kernel flipped over its taps
+and its in and out channels swapped (Dumoulin & Visin 2016, sec. 4), and
+each of its patch blocks also gives the kernel gradient, taps flipped.
+So a trained conv lowers its input once and its output gradient once.
+The node keeps the input only when the kernel requires a gradient (and
+the kernel only when the input does). Every conv has stride 1; the
+pyramid and the 3D U-Net subsample by slicing. An input smaller than its
+kernel (after padding) raises a DimensionError.
 """
 
 from __future__ import annotations
@@ -115,16 +115,6 @@ def _blocks(data: np.ndarray, k: int, pad: int, out_dims: tuple[int, ...]):
             yield slice(begin, begin + m * inner), cols.reshape(rows, m * inner)
 
 
-def _forward(w_mat: np.ndarray, data: np.ndarray, k: int, pad: int,
-             out_dims: tuple[int, ...]) -> np.ndarray:
-    """``w_mat`` [C_out, C * k^d] times each block's patch matrix of ``data``,
-    written into the output [C_out, *out_dims]."""
-    out = np.empty((w_mat.shape[0], math.prod(out_dims)), dtype=np.result_type(w_mat, data))
-    for cols_at, cols in _blocks(data, k, pad, out_dims):
-        np.matmul(w_mat, cols, out=out[:, cols_at])
-    return out.reshape((-1,) + out_dims)
-
-
 def _conv(name: str, nd: int, input, kernel, padding: int):
     """Convolve input [C_in, *spatial] with kernel [C_out, C_in, k, ...] over ``nd`` axes."""
     x = as_tensor(input)
@@ -150,34 +140,43 @@ def _conv(name: str, nd: int, input, kernel, padding: int):
     spatial = x.shape[1:]
     out_dims = tuple(_out_extent(n, k, p, f"{name} {axis}")
                      for n, axis in zip(spatial, _AXES[3 - nd:]))
-    rows = c_in * k ** nd
-    out = _forward(w.data.reshape(c_out, rows), x.data, k, p, out_dims)
+    taps = k ** nd
+    out = np.empty((c_out,) + out_dims, dtype=np.result_type(w.data, x.data))
+    w_mat = w.data.reshape(c_out, c_in * taps)
+    for cols_at, cols in _blocks(x.data, k, p, out_dims):
+        np.matmul(w_mat, cols, out=out.reshape(c_out, -1)[:, cols_at])
     # The kernel gradient reads the input and the input gradient reads the
     # kernel; each is kept only when the other side needs its gradient.
     x_data = x.data if w.requires_grad else None
     w_data = w.data if x.requires_grad else None
-    w_shape, w_dtype = w.shape, w.dtype
+    w_dtype = w.dtype
 
     def backward(g):
+        # Output o reads input o + tap - p, so input i gets g[o] * w[tap]
+        # wherever o + tap = i + p: the correlation of the gradient, padded
+        # by k-1-p on each side (cropped where that is negative), with the
+        # flipped kernel, n outputs per axis. Its patch at input i, tap t is
+        # g[i + p - (k-1-t)], the output that read x[i] through kernel tap
+        # k-1-t, so each block also gives the kernel gradient, taps flipped.
+        crop = max(0, p + 1 - k)
+        g_in = g[(slice(None),) + tuple(slice(crop, m - crop) for m in g.shape[1:])]
         gx = gw = None
-        if x_data is not None:
-            # Accumulated transposed: cols @ g.T runs about twice as fast in
-            # BLAS as g @ cols.T at these block shapes.
-            g_mat = g.reshape(c_out, -1)
-            gw_t = np.zeros((rows, c_out), dtype=w_dtype)
-            for cols_at, cols in _blocks(x_data, k, p, out_dims):
-                gw_t += cols @ g_mat[:, cols_at].T
-            gw = gw_t.T.reshape(w_shape)
         if w_data is not None:
-            # Output o reads input o + tap - p, so input i gets g[o] * w[tap]
-            # wherever o + tap = i + p: the correlation of the gradient,
-            # padded by k-1-p on each side (cropped where that is negative),
-            # with the flipped kernel. That leaves exactly n outputs per axis.
-            crop = max(0, p + 1 - k)
-            g_in = g[(slice(None),) + tuple(slice(crop, m - crop) for m in g.shape[1:])]
-            w_flip = np.flip(w_data, axis=tuple(range(2, nd + 2))).swapaxes(0, 1)
-            gx = _forward(w_flip.reshape(c_in, c_out * k ** nd), g_in, k,
-                          max(0, k - 1 - p), spatial)
+            w_flip = np.flip(w_data, axis=tuple(range(2, nd + 2))).swapaxes(0, 1).reshape(c_in, -1)
+            gx = np.empty((c_in,) + spatial, dtype=np.result_type(w_flip, g_in))
+        if x_data is not None:
+            # Accumulated as [C_out * k^d, C_in]: cols @ x.T runs about twice
+            # as fast in BLAS as x @ cols.T at these block shapes.
+            x_mat = x_data.reshape(c_in, -1)
+            gw = np.zeros((c_out,) + (k,) * nd + (c_in,), dtype=w_dtype)
+            gw_mat = gw.reshape(c_out * taps, c_in)
+        for cols_at, cols in _blocks(g_in, k, max(0, k - 1 - p), spatial):
+            if gx is not None:
+                np.matmul(w_flip, cols, out=gx.reshape(c_in, -1)[:, cols_at])
+            if gw is not None:
+                gw_mat += cols @ x_mat[:, cols_at].T
+        if gw is not None:
+            gw = np.moveaxis(np.flip(gw, axis=tuple(range(1, nd + 1))), -1, 1)
         return gx, gw
 
     return make_op(name, out, (x, w), backward)

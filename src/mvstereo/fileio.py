@@ -76,7 +76,7 @@ def read_ppm(path) -> np.ndarray:
     if not header:
         raise ContractError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in header.groups())
-    if not 0 < maxval < 256 or len(blob) - header.end() < w * h * 3:
+    if not 0 < maxval < 256 or len(blob) - header.end() != w * h * 3:
         raise ContractError(f"{path}: PPM header {w}x{h} maxval {maxval} does not fit "
                             f"its {len(blob) - header.end()} payload bytes")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=header.end())

@@ -266,3 +266,15 @@ class TestTruncatedArtifacts:
         path.write_bytes(b"P6\n1 1\n0\n" + bytes(3))
         with pytest.raises(ContractError, match="i.ppm"):
             read_ppm(path)
+
+    @pytest.mark.parametrize("at", [30, None])
+    def test_ppm_payload_byte_inserted(self, tmp_path, rng, at):
+        """One byte more than the header's w * h * 3, in the payload or
+        after it, is refused rather than read as a shifted image."""
+        path = tmp_path / "i.ppm"
+        write_ppm(path, rng.random((3, 4, 5)))
+        blob = path.read_bytes()
+        at = len(blob) if at is None else at
+        path.write_bytes(blob[:at] + b"\x7f" + blob[at:])
+        with pytest.raises(ContractError, match=r"i\.ppm: .* 61 payload bytes"):
+            read_ppm(path)

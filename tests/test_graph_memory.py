@@ -190,6 +190,26 @@ def test_conv3d_forward_peak_is_blocked(f32, rng):
     assert peak < padded_copy, f"peak {peak / MB:.2f} MB"
 
 
+def test_conv3d_backward_peak_is_blocked(f32, rng):
+    """The same layer's backward, both operands requiring grad: one walk
+    over the output gradient's blocks gives both gradients. Beyond its 3 MB
+    input gradient it holds one block buffer (1 MB) and a slab, never the
+    216 x 49152 patch matrix of the gradient (40.5 MB) or a padded copy of
+    it (8 x 6 x 98 x 130 entries, 2.3 MB). The peak was 4.96 MB when
+    backward walked the input's blocks too, and is 4.13 MB now."""
+    x = ad.tensor(rng.standard_normal((16, 4, 96, 128)), requires_grad=True)
+    k = ad.tensor(rng.standard_normal((8, 16, 3, 3, 3)), requires_grad=True)
+    out = ad.conv3d(x, k, padding=1)
+    g = rng.standard_normal(out.shape).astype(out.dtype)
+    with traced_without_gc():
+        tracemalloc.reset_peak()
+        baseline = live_bytes()
+        gx, gw = out.node.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    assert gx.shape == x.shape and gw.shape == k.shape
+    assert peak < gx.nbytes + 1.5 * MB, f"peak {peak / MB:.2f} MB"
+
+
 def test_inference_peak_is_its_working_set(f32):
     """A no-grad cascade at the benchmark's infer shape (96x128, 5 views):
     each scale's features, warped volume, U-Net skip and upsampled input

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvstereo import autodiff as ad
+from mvstereo.autodiff import conv as conv_module
 from mvstereo.autodiff import sampling
 from mvstereo.autodiff.conv import _BLOCK_ENTRIES
 
@@ -51,6 +52,19 @@ def conv_input_grad_loop(g, k, in_shape, stride, pad):
         for o in range(c_out):
             gp[window] += g[(o,) + idx] * k[o]
     return gp[(slice(None),) + tuple(slice(pad, pad + n) for n in in_shape)]
+
+
+def conv_kernel_grad_loop(g, x, ksz, pad):
+    """Kernel gradient of the stride-1 loops above: each output element's
+    gradient times the padded input window it read, per output channel."""
+    nd = x.ndim - 1
+    xp = np.pad(x, ((0, 0),) + ((pad, pad),) * nd)
+    gw = np.zeros((g.shape[0], x.shape[0]) + (ksz,) * nd)
+    for idx in np.ndindex(*g.shape[1:]):
+        window = (slice(None),) + tuple(slice(i, i + ksz) for i in idx)
+        for o in range(g.shape[0]):
+            gw[o] += g[(o,) + idx] * xp[window]
+    return gw
 
 
 def strided(conv, x, k, stride, pad):
@@ -185,6 +199,59 @@ class TestConvInputGradient:
         k = ad.tensor(rng.standard_normal((c_out, 2, 3, 3, 3)))
         assert conv_gradcheck(ad.conv3d, x, k, 1, 1) < 1e-4
         assert k.grad is None
+
+
+class TestConvKernelGradient:
+    """Backward walks the output gradient's patch blocks once: each block
+    gives the input gradient and, taps flipped, the kernel gradient. Both
+    against float64 per-element loops, for each operand needing a gradient
+    alone and for both."""
+
+    @pytest.mark.parametrize("operands", ["kernel", "input", "both"])
+    @pytest.mark.parametrize("ksz,pad", [
+        (3, 0), (3, 2), (3, 3), (3, 4),  # padding 0, k - 1, k (cropped), 4
+        (1, 0), (1, 1), (1, 4),          # for k = 1, padding k - 1 is 0
+    ])
+    @pytest.mark.parametrize("conv,in_shape", [(ad.conv2d, (5, 6)), (ad.conv3d, (3, 4, 5))])
+    def test_matches_loop_oracle(self, f64, rng, conv, in_shape, ksz, pad, operands):
+        x = ad.tensor(rng.standard_normal((2,) + in_shape), requires_grad=operands != "kernel")
+        k = ad.tensor(rng.standard_normal((3, 2) + (ksz,) * len(in_shape)),
+                      requires_grad=operands != "input")
+        out = conv(x, k, padding=pad)
+        g = rng.standard_normal(out.shape)
+        ad.sum_(out * ad.tensor(g)).backward()
+        if operands == "kernel":
+            assert x.grad is None
+        else:
+            np.testing.assert_allclose(x.grad, conv_input_grad_loop(g, k.data, in_shape, 1, pad),
+                                       rtol=1e-12, atol=1e-12)
+        if operands == "input":
+            assert k.grad is None
+        else:
+            np.testing.assert_allclose(k.grad, conv_kernel_grad_loop(g, x.data, ksz, pad),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("conv,in_shape", [(ad.conv2d, (6, 7)), (ad.conv3d, (4, 5, 6))])
+    def test_one_block_walk_over_the_output_gradient(self, f64, rng, monkeypatch, conv, in_shape):
+        """With both gradients wanted, backward draws blocks once, from the
+        output gradient, never from the input."""
+        x = ad.tensor(rng.standard_normal((2,) + in_shape), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((5, 2) + (3,) * len(in_shape)), requires_grad=True)
+        out = conv(x, k, padding=1)
+        g = rng.standard_normal(out.shape)
+        walked = []
+        blocks = conv_module._blocks
+
+        def counted(data, *args):
+            walked.append(data)
+            return blocks(data, *args)
+
+        monkeypatch.setattr(conv_module, "_blocks", counted)
+        gx, gw = out.node.backward_fn(g)
+        assert gx is not None and gw is not None
+        assert len(walked) == 1
+        assert walked[0].shape[0] == 5 and np.shares_memory(walked[0], g)
+        assert not np.shares_memory(walked[0], x.data)
 
 
 class TestConv2d:
